@@ -8,44 +8,12 @@
 // claim on both sides of the boundary and quantify the second.
 #include <cstdio>
 
+#include "analysis/quasi_stability.hpp"
 #include "analysis/stability_probe.hpp"
 #include "bench_util.hpp"
 #include "core/model.hpp"
 #include "core/stability.hpp"
-#include "sim/swarm.hpp"
-
-namespace {
-
-using namespace p2p;
-
-const char* kPolicies[] = {"random-useful", "rarest-first",
-                           "most-common-first", "sequential"};
-
-/// Time until the one-club (relative to the currently rarest piece at
-/// onset-check time) dominates: N > threshold_n and some piece held by
-/// < 10% of peers. Returns horizon if never.
-double onset_time(const SwarmParams& params, const std::string& policy,
-                  std::uint64_t seed, double horizon) {
-  SwarmSimOptions options;
-  options.rng_seed = seed;
-  SwarmSim sim(params, make_policy(policy), options);
-  double onset = horizon;
-  sim.run_sampled(horizon, 5.0, [&](double t) {
-    if (onset < horizon) return;
-    const std::int64_t n = sim.total_peers();
-    if (n < 200) return;
-    for (int piece = 0; piece < params.num_pieces(); ++piece) {
-      if (static_cast<double>(sim.holders_of(piece)) <
-          0.1 * static_cast<double>(n)) {
-        onset = t;
-        return;
-      }
-    }
-  });
-  return onset;
-}
-
-}  // namespace
+#include "sim/policy.hpp"
 
 int main() {
   using namespace p2p;
@@ -70,12 +38,12 @@ int main() {
   bench::section("verdicts per policy (Theorem 14: all rows identical)");
   std::printf("%20s %12s %12s %12s %12s\n", "policy", "stable:slope",
               "verdict", "trans:slope", "verdict");
-  for (const char* policy : kPolicies) {
-    const auto s = probe_swarm(stable, options, policy);
-    const auto u = probe_swarm(transient, options, policy);
-    std::printf("%20s %12.3f %12s %12.3f %12s\n", policy, s.normalized_slope,
-                bench::short_verdict(s.verdict), u.normalized_slope,
-                bench::short_verdict(u.verdict));
+  for (const PolicyName& policy : policy_names()) {
+    const auto s = probe_swarm(stable, options, policy.kind);
+    const auto u = probe_swarm(transient, options, policy.kind);
+    std::printf("%20s %12.3f %12s %12.3f %12s\n", policy.token,
+                s.normalized_slope, bench::short_verdict(s.verdict),
+                u.normalized_slope, bench::short_verdict(u.verdict));
   }
 
   bench::section("quasi-stable lifetime in the transient regime");
@@ -83,15 +51,16 @@ int main() {
       "time (mean over 5 runs, horizon 4000) until a piece is held by <10%% "
       "of a >200-peer swarm, started empty:\n");
   std::printf("%20s %14s\n", "policy", "onset time");
-  for (const char* policy : kPolicies) {
+  for (const PolicyName& policy : policy_names()) {
     double total = 0;
     const int reps = bench::scaled(5, 1);
     for (int r = 0; r < reps; ++r) {
-      total += onset_time(transient, policy,
-                          1000 + static_cast<std::uint64_t>(r),
-                          bench::scaled(4000.0, 100.0));
+      OnsetOptions onset;
+      onset.horizon = bench::scaled(4000.0, 100.0);
+      onset.rng_seed = 1000 + static_cast<std::uint64_t>(r);
+      total += detect_onset(transient, policy.kind, onset).onset_time;
     }
-    std::printf("%20s %14.0f\n", policy, total / reps);
+    std::printf("%20s %14.0f\n", policy.token, total / reps);
   }
   std::printf(
       "\nshape check: all four policies agree with Theorem 1 on both sides "

@@ -26,7 +26,7 @@ double tail_slope(const SwarmParams& params, double eta, std::uint64_t seed,
   SwarmSimOptions options;
   options.rng_seed = seed;
   options.retry_boost = eta;
-  SwarmSim sim(params, make_policy("random-useful"), options);
+  SwarmSim sim(params, options);
   TimeSeries series;
   series.push(0.0, 0.0);
   sim.run_sampled(horizon, horizon / 200, [&](double t) {
@@ -76,7 +76,7 @@ int main() {
       SwarmSimOptions options;
       options.rng_seed = 3;
       options.retry_boost = eta;
-      SwarmSim sim(params, make_policy("random-useful"), options);
+      SwarmSim sim(params, options);
       sim.inject_peers(PieceSet::full(3).without(0), 300);
       TimeSeries series;
       series.push(0.0, 300.0);

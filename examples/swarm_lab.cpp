@@ -5,14 +5,16 @@
 // classes and every piece-selection policy.
 //
 //   $ ./swarm_lab --help
-//   $ ./swarm_lab --k=5 --lambda=3 --us=0.5 --dwell=0.8 --policy=rarest-first
+//   $ ./swarm_lab --k=5 --lambda=3 --us=0.5 --dwell=0.8 --policy=rarest
 //   $ ./swarm_lab --k=4 --lambda=2 --us=0.3 --dwell=0 --retry-boost=5
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "analysis/stability_probe.hpp"
 #include "core/model.hpp"
 #include "core/stability.hpp"
+#include "sim/policy.hpp"
 #include "sim/swarm.hpp"
 #include "util/flags.hpp"
 
@@ -28,9 +30,9 @@ int main(int argc, char** argv) {
   const double mu = flags.get_double("mu", 1.0, "peer contact rate mu");
   const double dwell = flags.get_double(
       "dwell", 0.5, "mean peer-seed dwell 1/gamma (0 = leave instantly)");
-  const std::string policy = flags.get_string(
+  const std::string policy_spec = flags.get_string(
       "policy", "random-useful",
-      "random-useful | rarest-first | most-common-first | sequential");
+      "piece-selection policy: " + policy_spellings());
   const double retry_boost = flags.get_double(
       "retry-boost", 1.0, "Section VIII-C retry factor eta >= 1");
   const double slow_fraction = flags.get_double(
@@ -42,6 +44,13 @@ int main(int argc, char** argv) {
       "flash-crowd", 0.0, "initial one-club population"));
   const int seed = flags.get_int("seed", 1, "RNG seed");
   flags.finish();
+  const std::optional<PolicyKind> parsed_policy = parse_policy(policy_spec);
+  if (!parsed_policy) {
+    std::fprintf(stderr, "error: %s\n",
+                 unknown_policy_message(policy_spec).c_str());
+    return 2;
+  }
+  const PolicyKind policy = *parsed_policy;
 
   const double gamma = dwell <= 0 ? kInfiniteRate : 1.0 / dwell;
   std::vector<ArrivalSpec> arrivals = {{PieceSet{}, lambda}};
@@ -50,7 +59,7 @@ int main(int argc, char** argv) {
 
   std::printf("model:  %s\n", params.to_string().c_str());
   std::printf("policy: %s, retry boost %.1f, slow fraction %.2f\n\n",
-              policy.c_str(), retry_boost, slow_fraction);
+              to_string(policy), retry_boost, slow_fraction);
 
   const StabilityReport report = classify(params);
   std::printf("Theorem 1: %s\n", report.to_string().c_str());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -197,13 +198,8 @@ PhaseGrid build_phase_grid_rows(
       // one token — and it must be a token the writer can emit.
       const std::string& tok = row[policy_col];
       if (r == 0) {
-        bool known = false;
-        for (const PolicyKind kind :
-             {PolicyKind::kRandomUseful, PolicyKind::kRarestFirst,
-              PolicyKind::kMostCommonFirst, PolicyKind::kSequential}) {
-          if (tok == to_string(kind)) known = true;
-        }
-        P2P_ASSERT_MSG(known,
+        const std::optional<PolicyKind> kind = parse_policy(tok);
+        P2P_ASSERT_MSG(kind && tok == to_string(*kind),
                        "unknown policy \"" + tok + "\" in " + ctx);
         policy = tok;
       } else {

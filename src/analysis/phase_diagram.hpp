@@ -70,9 +70,9 @@ struct PhaseGrid {
   /// everywhere — the weights are unrecoverable from an all-zero
   /// block, and unneeded: every such cell is the homogeneous cell).
   engine::ScenarioSpec scenario;
-  /// Piece-selection policy token recorded by the corpus ("rarest-first",
-  /// ...); empty for baseline corpora without a policy column. The
-  /// column is sweep-constant, so one string covers the grid.
+  /// Piece-selection policy report token recorded by the corpus
+  /// (sim/policy.hpp); empty for baseline corpora without a policy
+  /// column. The column is sweep-constant, so one string covers the grid.
   std::string policy;
   /// True when the corpus carried a fluid_verdict column (every cell's
   /// `fluid` field is then meaningful).

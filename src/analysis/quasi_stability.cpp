@@ -4,12 +4,12 @@
 
 namespace p2p {
 
-OnsetResult detect_onset(const SwarmParams& params,
-                         const std::string& policy_name,
+OnsetResult detect_onset(const SwarmParams& params, PolicyKind policy,
                          const OnsetOptions& options) {
   SwarmSimOptions sim_options;
   sim_options.rng_seed = options.rng_seed;
-  SwarmSim sim(params, make_policy(policy_name), sim_options);
+  sim_options.policy = policy;
+  SwarmSim sim(params, sim_options);
   OnsetResult result;
   result.onset_time = options.horizon;
   sim.run_sampled(options.horizon, options.check_dt, [&](double t) {
@@ -29,41 +29,6 @@ OnsetResult detect_onset(const SwarmParams& params,
   });
   if (!result.onset) result.peers_at_onset = sim.total_peers();
   return result;
-}
-
-ExcursionStats excursions_above(const TimeSeries& series, double threshold) {
-  ExcursionStats stats;
-  if (series.size() == 0) return stats;
-  bool above = false;
-  double start = 0;
-  double time_above = 0;
-  auto close_excursion = [&](double end) {
-    const double duration = end - start;
-    ++stats.count;
-    stats.mean_duration += duration;
-    stats.max_duration = std::max(stats.max_duration, duration);
-  };
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    stats.max_value = std::max(stats.max_value, series.v[i]);
-    const bool now_above = series.v[i] > threshold;
-    if (now_above && !above) {
-      above = true;
-      start = series.t[i];
-    } else if (!now_above && above) {
-      above = false;
-      close_excursion(series.t[i]);
-    }
-    if (now_above && i + 1 < series.size()) {
-      time_above += series.t[i + 1] - series.t[i];
-    }
-  }
-  if (above) close_excursion(series.t.back());
-  if (stats.count > 0) {
-    stats.mean_duration /= static_cast<double>(stats.count);
-  }
-  const double span = series.t.back() - series.t.front();
-  stats.fraction_above = span > 0 ? time_above / span : 0.0;
-  return stats;
 }
 
 }  // namespace p2p

@@ -1,19 +1,15 @@
 // Quasi-stability analytics (Section IX outlook).
 //
 // A provably-transient swarm can behave well for a long time before the
-// one-club forms; a provably-stable one still has excursions. This module
-// quantifies both:
-//   * one-club onset detection (when some piece's availability collapses
-//     in a large swarm), used to compare piece-selection policies;
-//   * excursion statistics of a population time series over a threshold
-//     (count, durations, peak), the empirical face of positive recurrence.
+// one-club forms. This module detects that onset (when some piece's
+// availability collapses in a large swarm), which the Theorem-14 bench
+// uses to compare piece-selection policies.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/model.hpp"
-#include "sim/stats.hpp"
+#include "sim/policy.hpp"
 
 namespace p2p {
 
@@ -37,24 +33,9 @@ struct OnsetResult {
   std::int64_t peers_at_onset = 0;
 };
 
-/// Runs a fresh swarm (started empty) under the named policy and reports
-/// the first one-club onset.
-OnsetResult detect_onset(const SwarmParams& params,
-                         const std::string& policy_name,
+/// Runs a fresh swarm (started empty) under `policy` and reports the
+/// first one-club onset.
+OnsetResult detect_onset(const SwarmParams& params, PolicyKind policy,
                          const OnsetOptions& options);
-
-struct ExcursionStats {
-  /// Number of completed excursions above the threshold.
-  std::int64_t count = 0;
-  double mean_duration = 0;
-  double max_duration = 0;
-  double max_value = 0;
-  /// Fraction of observed time spent above the threshold.
-  double fraction_above = 0;
-};
-
-/// Excursions of `series` strictly above `threshold`. An excursion open
-/// at the end of the series is counted (its duration truncated).
-ExcursionStats excursions_above(const TimeSeries& series, double threshold);
 
 }  // namespace p2p

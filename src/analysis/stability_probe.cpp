@@ -64,11 +64,12 @@ ProbeResult probe_stability(
 
 TimeSeries swarm_peer_series(const SwarmParams& params,
                              const ProbeOptions& options, std::uint64_t seed,
-                             const std::string& policy_name) {
+                             PolicyKind policy) {
   SwarmSimOptions sim_options;
   sim_options.rng_seed = seed;
   sim_options.tracked_piece = options.tracked_piece;
-  SwarmSim sim(params, make_policy(policy_name), sim_options);
+  sim_options.policy = policy;
+  SwarmSim sim(params, sim_options);
   if (options.initial_one_club > 0) {
     const PieceSet one_club =
         PieceSet::full(params.num_pieces()).without(sim_options.tracked_piece);
@@ -84,10 +85,10 @@ TimeSeries swarm_peer_series(const SwarmParams& params,
 }
 
 ProbeResult probe_swarm(const SwarmParams& params, const ProbeOptions& options,
-                        const std::string& policy_name) {
+                        PolicyKind policy) {
   return probe_stability(
       [&](std::uint64_t seed) {
-        return swarm_peer_series(params, options, seed, policy_name);
+        return swarm_peer_series(params, options, seed, policy);
       },
       params.total_arrival_rate(), options);
 }

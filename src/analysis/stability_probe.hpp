@@ -58,14 +58,14 @@ ProbeResult probe_stability(
     const std::function<TimeSeries(std::uint64_t seed)>& make_series,
     double lambda_total, const ProbeOptions& options);
 
-/// Probes a SwarmSim with the given policy name ("random-useful" etc.).
+/// Probes a SwarmSim running the given piece-selection policy.
 ProbeResult probe_swarm(const SwarmParams& params, const ProbeOptions& options,
-                        const std::string& policy_name = "random-useful");
+                        PolicyKind policy = PolicyKind::kRandomUseful);
 
 /// One replica's N_t series for a SwarmSim (exposed for benches that plot
 /// trajectories rather than classify).
 TimeSeries swarm_peer_series(const SwarmParams& params,
                              const ProbeOptions& options, std::uint64_t seed,
-                             const std::string& policy_name = "random-useful");
+                             PolicyKind policy = PolicyKind::kRandomUseful);
 
 }  // namespace p2p

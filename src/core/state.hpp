@@ -68,4 +68,69 @@ class TypeCountState {
   std::int64_t total_ = 0;
 };
 
+/// Type counts together with the silent-pair sum
+///
+///   S = sum over ordered type pairs a subseteq b of x_a * x_b,
+///
+/// the number of ordered peer pairs (i, j) where i cannot help j
+/// (i = j included). The type-count simulator integrates silent
+/// contacts out with it (sim/typecount_sim.hpp) and the stability
+/// monitor divides peer transfers by its exposure int (n^2 - S)/n dt
+/// (service/monitor.hpp). S is maintained in O(1) per count change from
+/// incrementally updated subset/superset sums
+///
+///   sub(c)  = sum over a subseteq c of x_a
+///   sup(c)  = sum over b superseteq c of x_b
+///   delta S = delta * (sub(c) + sup(c)) + delta^2   (old sums),
+///
+/// so bump(c, delta) costs O(2^|c|) + O(2^(K-|c|)).
+///
+/// The zeta sums live here rather than in TypeCountState because
+/// ctmc/stationary interns states by value and Lyapunov::drift copies
+/// them. ctmc/typecount_chain samples silent ticks explicitly and never
+/// reads S, so it keeps a bare TypeCountState.
+class TypeCountPairSum {
+ public:
+  explicit TypeCountPairSum(int num_pieces)
+      : counts_(num_pieces),
+        full_mask_(counts_.num_types() - 1),
+        sub_(counts_.num_types(), 0),
+        sup_(counts_.num_types(), 0) {}
+
+  const TypeCountState& counts() const { return counts_; }
+  /// The silent-pair sum S.
+  std::int64_t pair_sum() const { return pair_sum_; }
+  std::int64_t sub(std::uint64_t mask) const { return sub_[mask]; }
+  std::int64_t sup(std::uint64_t mask) const { return sup_[mask]; }
+
+  /// x_mask += delta, keeping S and the subset/superset sums consistent.
+  void bump(std::uint64_t mask, std::int64_t delta) {
+    if (delta == 0) return;
+    // Pair-sum first: the identity uses the *old* subset/superset sums.
+    pair_sum_ += delta * (sub_[mask] + sup_[mask]) + delta * delta;
+    // Every a subseteq mask gains delta superset-weighted peers...
+    std::uint64_t a = mask;
+    while (true) {
+      sup_[a] += delta;
+      if (a == 0) break;
+      a = (a - 1) & mask;
+    }
+    // ...and every b superseteq mask gains delta subset-weighted peers.
+    const std::uint64_t comp = full_mask_ & ~mask;
+    std::uint64_t extra = 0;
+    do {
+      sub_[mask | extra] += delta;
+      extra = (extra - comp) & comp;
+    } while (extra != 0);
+    counts_.add(PieceSet(mask), delta);
+  }
+
+ private:
+  TypeCountState counts_;
+  std::uint64_t full_mask_;
+  std::vector<std::int64_t> sub_;
+  std::vector<std::int64_t> sup_;
+  std::int64_t pair_sum_ = 0;
+};
+
 }  // namespace p2p

@@ -235,11 +235,12 @@ void RowRenderer::Row::end() {
 
 ReportWriter::ReportWriter(const std::string& path, ReportFormat format,
                            std::vector<std::string> columns)
-    : columns_(std::move(columns)), format_(format), path_(path) {
+    : columns_(std::move(columns)),
+      format_(format),
+      path_(path),
+      to_stdout_(path_.empty() || path_ == "-") {
   P2P_ASSERT_MSG(!columns_.empty(), "a report needs at least one column");
-  if (path_.empty() || path_ == "-") {
-    file_ = stdout;
-  }
+  if (to_stdout_) file_ = stdout;
   // A named file is opened lazily, at the first flush: a producer that
   // aborts in validation before writing anything (bad axis spec, ...)
   // must not have truncated a previously good output file — the old
@@ -333,7 +334,7 @@ void ReportWriter::finish() {
 
 void ReportWriter::flush_to_file() {
   if (buffer_.empty()) return;
-  if (file_ == stdout) {
+  if (to_stdout_) {
     // stdout stays synchronous: callers interleave their own writes.
     write_file_bytes(buffer_);
     buffer_.clear();

@@ -176,6 +176,10 @@ class ReportWriter {
   std::string path_;
   std::FILE* file_ = nullptr;
   bool owns_file_ = false;
+  /// Decided once at construction: the producer branches on it while
+  /// the flusher thread lazily opens (and so writes) file_, which no
+  /// other thread reads until the flusher is joined.
+  const bool to_stdout_ = false;
   std::string buffer_;
   std::size_t rows_ = 0;
   bool finished_ = false;

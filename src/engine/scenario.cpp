@@ -90,18 +90,6 @@ ScenarioSpec parse_scenario(const std::string& spec) {
   return scenario;
 }
 
-PolicyKind parse_policy(const std::string& spec) {
-  if (spec == "random") return PolicyKind::kRandomUseful;
-  if (spec == "rarest") return PolicyKind::kRarestFirst;
-  if (spec == "mostcommon") return PolicyKind::kMostCommonFirst;
-  if (spec == "sequential") return PolicyKind::kSequential;
-  P2P_ASSERT_MSG(false,
-                 "unknown policy (valid: random, rarest, mostcommon, "
-                 "sequential; got \"" +
-                     spec + "\")");
-  return PolicyKind::kRandomUseful;
-}
-
 void expand_arrivals(const ScenarioSpec& scenario, const CellParams& p,
                      std::vector<ArrivalSpec>& out) {
   P2P_ASSERT_MSG(p.mix >= 0 && p.mix <= 1,

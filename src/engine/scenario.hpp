@@ -75,11 +75,6 @@ struct ScenarioSpec {
 /// specs, echoing the offending spec verbatim.
 ScenarioSpec parse_scenario(const std::string& spec);
 
-/// Parses a `--policy` token: "random" (the Theorem-1 baseline),
-/// "rarest", "mostcommon", or "sequential". Aborts on unknown tokens,
-/// echoing the offending spec verbatim.
-PolicyKind parse_policy(const std::string& spec);
-
 /// The model-parameter tuple a single grid point denotes (engine/sweep.hpp
 /// fills it from the axis values).
 struct CellParams {

@@ -6,6 +6,14 @@ namespace p2p {
 
 namespace {
 
+/// The one spelling table of the built-in policies.
+constexpr PolicyName kPolicyNames[] = {
+    {PolicyKind::kRandomUseful, "random-useful", "random"},
+    {PolicyKind::kRarestFirst, "rarest-first", "rarest"},
+    {PolicyKind::kMostCommonFirst, "most-common-first", "mostcommon"},
+    {PolicyKind::kSequential, "sequential", "sequential"},
+};
+
 /// Picks a uniformly random piece among those in `useful` whose holder
 /// count is extremal (min if `want_min`, else max).
 int extremal_pick(PieceSet useful, const SwarmView& view, Rng& rng,
@@ -45,34 +53,54 @@ int MostCommonFirstPolicy::select(PieceSet useful, PieceSet,
   return extremal_pick(useful, view, rng, /*want_min=*/false);
 }
 
-std::unique_ptr<PieceSelectionPolicy> make_policy(const std::string& name) {
-  if (name == "random-useful") return std::make_unique<RandomUsefulPolicy>();
-  if (name == "rarest-first") return std::make_unique<RarestFirstPolicy>();
-  if (name == "most-common-first") {
-    return std::make_unique<MostCommonFirstPolicy>();
+std::span<const PolicyName> policy_names() { return kPolicyNames; }
+
+const char* to_string(PolicyKind kind) {
+  for (const PolicyName& p : kPolicyNames) {
+    if (p.kind == kind) return p.token;
   }
-  if (name == "sequential") return std::make_unique<SequentialPolicy>();
   P2P_ASSERT_MSG(false, "unknown piece selection policy");
   return nullptr;
 }
 
-const char* to_string(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kRandomUseful:
-      return "random-useful";
-    case PolicyKind::kRarestFirst:
-      return "rarest-first";
-    case PolicyKind::kMostCommonFirst:
-      return "most-common-first";
-    case PolicyKind::kSequential:
-      return "sequential";
+std::optional<PolicyKind> parse_policy(std::string_view name) {
+  for (const PolicyName& p : kPolicyNames) {
+    if (name == p.token || name == p.alias) return p.kind;
   }
-  P2P_ASSERT_MSG(false, "unknown piece selection policy");
-  return nullptr;
+  return std::nullopt;
+}
+
+std::string policy_spellings() {
+  std::string out;
+  for (const PolicyName& p : kPolicyNames) {
+    if (!out.empty()) out += ", ";
+    out += p.token;
+    if (std::string_view(p.alias) != p.token) {
+      out += '|';
+      out += p.alias;
+    }
+  }
+  return out;
+}
+
+std::string unknown_policy_message(std::string_view name) {
+  return "unknown policy \"" + std::string(name) +
+         "\" (valid: " + policy_spellings() + ")";
 }
 
 std::unique_ptr<PieceSelectionPolicy> make_policy(PolicyKind kind) {
-  return make_policy(std::string(to_string(kind)));
+  switch (kind) {
+    case PolicyKind::kRandomUseful:
+      return std::make_unique<RandomUsefulPolicy>();
+    case PolicyKind::kRarestFirst:
+      return std::make_unique<RarestFirstPolicy>();
+    case PolicyKind::kMostCommonFirst:
+      return std::make_unique<MostCommonFirstPolicy>();
+    case PolicyKind::kSequential:
+      return std::make_unique<SequentialPolicy>();
+  }
+  P2P_ASSERT_MSG(false, "unknown piece selection policy");
+  return nullptr;
 }
 
 }  // namespace p2p

@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "rand/rng.hpp"
 #include "util/piece_set.hpp"
@@ -28,6 +30,16 @@ struct SwarmView {
   std::int64_t total_peers = 0;
 };
 
+/// The built-in policies as a value type, so option structs and sweep
+/// scenarios can carry a selection policy without owning a polymorphic
+/// object.
+enum class PolicyKind {
+  kRandomUseful,
+  kRarestFirst,
+  kMostCommonFirst,
+  kSequential,
+};
+
 class PieceSelectionPolicy {
  public:
   virtual ~PieceSelectionPolicy() = default;
@@ -37,7 +49,7 @@ class PieceSelectionPolicy {
   virtual int select(PieceSet useful, PieceSet target_has,
                      const SwarmView& view, Rng& rng) = 0;
 
-  virtual std::string name() const = 0;
+  virtual PolicyKind kind() const = 0;
 };
 
 /// Uniformly random useful piece — the baseline policy of Theorem 1.
@@ -47,25 +59,27 @@ class RandomUsefulPolicy final : public PieceSelectionPolicy {
     return useful.nth(static_cast<int>(
         rng.uniform_int(static_cast<std::uint64_t>(useful.size()))));
   }
-  std::string name() const override { return "random-useful"; }
+  PolicyKind kind() const override { return PolicyKind::kRandomUseful; }
 };
 
 /// Globally rarest useful piece (ties broken uniformly) — an idealized
-/// rarest-first with perfect availability information.
+/// rarest-piece selection with perfect availability information.
 class RarestFirstPolicy final : public PieceSelectionPolicy {
  public:
   int select(PieceSet useful, PieceSet, const SwarmView& view,
              Rng& rng) override;
-  std::string name() const override { return "rarest-first"; }
+  PolicyKind kind() const override { return PolicyKind::kRarestFirst; }
 };
 
-/// Most common useful piece — the adversarial counterpart of rarest-first;
-/// still in H, so still the same stability region.
+/// Most common useful piece — the adversarial counterpart of
+/// RarestFirstPolicy; still in H, so still the same stability region.
 class MostCommonFirstPolicy final : public PieceSelectionPolicy {
  public:
   int select(PieceSet useful, PieceSet, const SwarmView& view,
              Rng& rng) override;
-  std::string name() const override { return "most-common-first"; }
+  PolicyKind kind() const override {
+    return PolicyKind::kMostCommonFirst;
+  }
 };
 
 /// Lowest-indexed useful piece ("in-order streaming"); deterministic.
@@ -74,26 +88,34 @@ class SequentialPolicy final : public PieceSelectionPolicy {
   int select(PieceSet useful, PieceSet, const SwarmView&, Rng&) override {
     return useful.lowest();
   }
-  std::string name() const override { return "sequential"; }
+  PolicyKind kind() const override { return PolicyKind::kSequential; }
 };
 
-/// Factory by name: "random-useful", "rarest-first", "most-common-first",
-/// "sequential". Aborts on unknown names.
-std::unique_ptr<PieceSelectionPolicy> make_policy(const std::string& name);
-
-/// The built-in policies as a value type, so option structs and sweep
-/// scenarios can carry a selection policy without owning a polymorphic
-/// object. Order matches the factory-name listing above.
-enum class PolicyKind {
-  kRandomUseful,
-  kRarestFirst,
-  kMostCommonFirst,
-  kSequential,
+/// One row of the policy vocabulary: the token reports, the phase
+/// ingester and the factory use, and the short alias the command-line
+/// tools also accept.
+struct PolicyName {
+  PolicyKind kind;
+  const char* token;
+  const char* alias;
 };
 
-/// The factory/report name of a kind ("random-useful", ...): to_string
-/// and make_policy round-trip.
+/// Every built-in policy, in PolicyKind order.
+std::span<const PolicyName> policy_names();
+
+/// The report token of a kind ("random-useful", ...).
 const char* to_string(PolicyKind kind);
+
+/// Either spelling of a policy -> its kind; nullopt for no such policy.
+std::optional<PolicyKind> parse_policy(std::string_view name);
+
+/// Every accepted spelling, "random-useful|random, ...", for usage text.
+std::string policy_spellings();
+
+/// The rejection message for a name parse_policy refused: echoes the
+/// name and lists every valid spelling.
+std::string unknown_policy_message(std::string_view name);
+
 std::unique_ptr<PieceSelectionPolicy> make_policy(PolicyKind kind);
 
 }  // namespace p2p

@@ -15,10 +15,8 @@ TypeCountSim::TypeCountSim(SwarmParams params, TypeCountSimOptions options)
       options_(options),
       rng_(options.rng_seed),
       full_mask_((std::uint64_t{1} << params_.num_pieces()) - 1),
-      state_(params_.num_pieces()),
+      types_(params_.num_pieces()),
       peers_by_type_(std::size_t{1} << params_.num_pieces()),
-      sub_(std::size_t{1} << params_.num_pieces(), 0),
-      sup_(std::size_t{1} << params_.num_pieces(), 0),
       arrival_times_(std::size_t{1} << params_.num_pieces()) {
   P2P_ASSERT(options_.tracked_piece >= 0 &&
              options_.tracked_piece < params_.num_pieces());
@@ -30,26 +28,9 @@ TypeCountSim::TypeCountSim(SwarmParams params, TypeCountSimOptions options)
 }
 
 void TypeCountSim::bump(std::uint64_t mask, std::int64_t delta) {
-  if (delta == 0) return;
-  // Pair-sum first: the identity uses the *old* subset/superset sums.
-  pair_sum_s_ += delta * (sub_[mask] + sup_[mask]) + delta * delta;
-  // Every a subseteq mask gains delta supersets-weighted peers...
-  std::uint64_t a = mask;
-  while (true) {
-    sup_[a] += delta;
-    if (a == 0) break;
-    a = (a - 1) & mask;
-  }
-  // ...and every b superseteq mask gains delta subset-weighted peers.
-  const std::uint64_t comp = full_mask_ & ~mask;
-  std::uint64_t extra = 0;
-  do {
-    sub_[mask | extra] += delta;
-    extra = (extra - comp) & comp;
-  } while (extra != 0);
-  state_.add(PieceSet(mask), delta);
+  types_.bump(mask, delta);
   peers_by_type_.update(static_cast<std::size_t>(mask), delta);
-  P2P_ASSERT_MSG(state_.total_peers() <= kMaxPopulation,
+  P2P_ASSERT_MSG(state().total_peers() <= kMaxPopulation,
                  "TypeCountSim supports at most 2e9 concurrent peers");
 }
 
@@ -116,7 +97,7 @@ void TypeCountSim::do_seed_tick() {
   // Conditioned on non-silent, the target is uniform among non-seed
   // peers. Slot F is the tree's last index, so a dart below n - x_F
   // cannot land on it.
-  const std::int64_t eligible = state_.total_peers() - state_.seeds();
+  const std::int64_t eligible = state().total_peers() - state().seeds();
   P2P_ASSERT(eligible >= 1);
   const auto c_mask = static_cast<std::uint64_t>(peers_by_type_.find(
       static_cast<std::int64_t>(
@@ -128,8 +109,8 @@ void TypeCountSim::do_seed_tick() {
 }
 
 void TypeCountSim::do_peer_tick() {
-  const std::int64_t n = state_.total_peers();
-  const std::int64_t nonsilent = n * n - pair_sum_s_;
+  const std::int64_t n = state().total_peers();
+  const std::int64_t nonsilent = n * n - types_.pair_sum();
   P2P_ASSERT(nonsilent >= 1);
   std::uint64_t a_mask = 0;
   std::uint64_t b_mask = 0;
@@ -151,9 +132,9 @@ void TypeCountSim::do_peer_tick() {
         rng_.uniform_int(static_cast<std::uint64_t>(nonsilent)));
     bool found = false;
     for (std::uint64_t m = 0; m <= full_mask_; ++m) {
-      const std::int64_t xa = state_.count(m);
+      const std::int64_t xa = state().count(m);
       if (xa == 0) continue;
-      const std::int64_t w = xa * (n - sup_[m]);
+      const std::int64_t w = xa * (n - types_.sup(m));
       if (r < w) {
         a_mask = m;
         found = true;
@@ -163,11 +144,11 @@ void TypeCountSim::do_peer_tick() {
     }
     P2P_ASSERT(found);
     auto r2 = static_cast<std::int64_t>(rng_.uniform_int(
-        static_cast<std::uint64_t>(n - sup_[a_mask])));
+        static_cast<std::uint64_t>(n - types_.sup(a_mask))));
     found = false;
     for (std::uint64_t m = 0; m <= full_mask_; ++m) {
       if ((m & a_mask) == a_mask) continue;  // b superseteq a: silent
-      const std::int64_t xb = state_.count(m);
+      const std::int64_t xb = state().count(m);
       if (r2 < xb) {
         b_mask = m;
         found = true;
@@ -182,7 +163,7 @@ void TypeCountSim::do_peer_tick() {
 }
 
 void TypeCountSim::do_seed_departure() {
-  P2P_ASSERT(state_.seeds() >= 1);
+  P2P_ASSERT(state().seeds() >= 1);
   const double arrived = take_arrival_time(full_mask_);
   bump(full_mask_, -1);
   ++counters_.departures;
@@ -190,8 +171,8 @@ void TypeCountSim::do_seed_departure() {
 }
 
 TypeCountSim::EffectiveRates TypeCountSim::effective_rates() const {
-  const std::int64_t n = state_.total_peers();
-  const std::int64_t seeds = state_.seeds();
+  const std::int64_t n = state().total_peers();
+  const std::int64_t seeds = state().seeds();
   const AggregateRates base =
       aggregate_event_rates(params_.view(), n, seeds);
   EffectiveRates rates;
@@ -201,7 +182,7 @@ TypeCountSim::EffectiveRates TypeCountSim::effective_rates() const {
     rates.seed = params_.seed_rate() * static_cast<double>(n - seeds) /
                  static_cast<double>(n);
     rates.peer = params_.contact_rate() *
-                 static_cast<double>(n * n - pair_sum_s_) /
+                 static_cast<double>(n * n - types_.pair_sum()) /
                  static_cast<double>(n);
   }
   rates.nominal_total = base.total();
@@ -232,7 +213,7 @@ bool TypeCountSim::step() {
   const double total = rates.total();
   if (total <= 0) return false;
   occupancy_.advance(occupancy_.now() + rng_.exponential(total),
-                     state_.total_peers());
+                     state().total_peers());
   nominal_events_ += rates.nominal_total / total;
   ++effective_steps_;
   dispatch(rates);
@@ -259,7 +240,7 @@ void TypeCountSim::run_sampled(double t_end, double dt,
       fn(next_sample);
       next_sample += dt;
     }
-    occupancy_.advance(event_time, state_.total_peers());
+    occupancy_.advance(event_time, state().total_peers());
     nominal_events_ += rates.nominal_total / total;
     ++effective_steps_;
     dispatch(rates);

@@ -23,16 +23,11 @@
 //         + mu * (n^2 - S)/n + gamma * x_F
 //
 // and identical law: holding times are Exp(R_eff) and every dispatched
-// event changes the state. S is maintained in O(1) per count change from
-// incrementally updated subset/superset sums
-//
-//   sub(c)  = sum over a subseteq c of x_a
-//   sup(c)  = sum over b superseteq c of x_b
-//   delta S = delta * (sub(c) + sup(c)) + delta^2   (old sums),
-//
-// each walk costing O(2^K) worst case per *state change* — but state
-// changes are only the non-silent events, which near the one-club regime
-// are rarer than nominal events by a factor of order n. Non-silent
+// event changes the state. S and its subset/superset sums live in
+// TypeCountPairSum (core/state.hpp), whose update costs O(2^K) worst
+// case per *state change* — but state changes are only the non-silent
+// events, which near the one-club regime are rarer than nominal events
+// by a factor of order n. Non-silent
 // uploader/target pairs are drawn by rejection when the acceptance
 // probability (n^2 - S)/n^2 >= 1/2 (expected <= 2 tree samples) and by
 // exact inversion over types otherwise (that branch fires exactly when
@@ -69,10 +64,10 @@ class TypeCountSim final : public SwarmBackend {
   explicit TypeCountSim(SwarmParams params, TypeCountSimOptions options = {});
 
   double now() const override { return occupancy_.now(); }
-  std::int64_t total_peers() const override { return state_.total_peers(); }
-  std::int64_t peer_seeds() const override { return state_.seeds(); }
+  std::int64_t total_peers() const override { return state().total_peers(); }
+  std::int64_t peer_seeds() const override { return state().seeds(); }
   const SwarmParams& params() const { return params_; }
-  const TypeCountState& state() const { return state_; }
+  const TypeCountState& state() const { return types_.counts(); }
 
   void inject_peers(PieceSet type, std::int64_t count) override;
 
@@ -89,7 +84,7 @@ class TypeCountSim final : public SwarmBackend {
   double occupancy_integral() const override { return occupancy_.integral(); }
   const OnlineStats& sojourn_stats() const override { return sojourn_; }
   const SwarmCounters& counters() const override { return counters_; }
-  TypeCountState type_counts() const override { return state_; }
+  TypeCountState type_counts() const override { return types_.counts(); }
 
   /// Unbiased estimate of the *nominal* event count: the events an
   /// event-per-silent-contact sampler (SwarmSim, TypeCountChain) would
@@ -102,8 +97,7 @@ class TypeCountSim final : public SwarmBackend {
   std::int64_t effective_steps() const { return effective_steps_; }
 
  private:
-  /// Applies x_c += delta, keeping the Fenwick tree, the pair sum S and
-  /// the subset/superset sums consistent. O(2^|c|) + O(2^(K-|c|)).
+  /// Applies x_c += delta to the pair-sum state and the Fenwick tree.
   void bump(std::uint64_t mask, std::int64_t delta);
 
   /// Uniform random member's arrival time of type `mask`, removed
@@ -135,11 +129,8 @@ class TypeCountSim final : public SwarmBackend {
   Rng rng_;
   std::uint64_t full_mask_;
 
-  TypeCountState state_;
+  TypeCountPairSum types_;
   WeightedIndex<std::int64_t> peers_by_type_;
-  std::vector<std::int64_t> sub_;  // sub_[c] = sum over a subseteq c of x_a
-  std::vector<std::int64_t> sup_;  // sup_[c] = sum over b superseteq c of x_b
-  std::int64_t pair_sum_s_ = 0;    // S = sum over a subseteq b of x_a * x_b
   std::vector<std::vector<double>> arrival_times_;
   std::vector<double> arrival_weights_;
   double lambda_total_ = 0;

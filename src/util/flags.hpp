@@ -40,58 +40,36 @@ class Flags {
 
   double get_double(const std::string& name, double fallback,
                     const std::string& help) {
-    describe(name, std::to_string(fallback), help);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(name);
-    const std::string& token = it->second;
-    // Shape-gate before strtod: its grammar also accepts "nan",
-    // "inf"/"infinity" (any case), hex floats and leading whitespace —
-    // spellings that would silently run a different experiment than the
-    // flag suggests. Only plain finite decimals pass.
-    const std::size_t first = token.size() > 1 && token[0] == '-' ? 1 : 0;
-    const bool decimal_shape =
-        token.size() > first && token[first] >= '0' && token[first] <= '9' &&
-        token.find_first_of("xX") == std::string::npos;
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (!decimal_shape || *end != '\0' || !std::isfinite(v)) {
-      fail("flag --" + name + " expects a number (finite decimal), got '" +
-           token + "'");
-    }
-    return v;
+    const std::string* token = take(name, std::to_string(fallback), help);
+    return token != nullptr ? parse_decimal(name, *token) : fallback;
   }
 
   int get_int(const std::string& name, int fallback,
               const std::string& help) {
-    const double v = get_double(name, static_cast<double>(fallback), help);
+    const std::string* token = take(name, std::to_string(fallback), help);
+    if (token == nullptr) return fallback;
+    const double v = parse_decimal(name, *token);
     // Range-check before the cast: float-to-int conversion of an
     // out-of-range value is undefined behavior, not a detectable wrap.
     constexpr double lo = std::numeric_limits<int>::min();
     constexpr double hi = std::numeric_limits<int>::max();
     if (!(v >= lo && v <= hi) || v != std::floor(v)) {
-      fail("flag --" + name + " expects an integer, got '" +
-           std::to_string(v) + "'");
+      fail("flag --" + name + " expects an integer, got '" + *token + "'");
     }
     return static_cast<int>(v);
   }
 
   std::string get_string(const std::string& name, const std::string& fallback,
                          const std::string& help) {
-    describe(name, fallback, help);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(name);
-    return it->second;
+    const std::string* token = take(name, fallback, help);
+    return token != nullptr ? *token : fallback;
   }
 
   bool get_bool(const std::string& name, bool fallback,
                 const std::string& help) {
-    describe(name, fallback ? "true" : "false", help);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    consumed_.insert(name);
-    return it->second != "false" && it->second != "0";
+    const std::string* token = take(name, fallback ? "true" : "false", help);
+    if (token == nullptr) return fallback;
+    return *token != "false" && *token != "0";
   }
 
   /// Call after all getters: aborts with usage on unknown flags or --help.
@@ -116,15 +94,40 @@ class Flags {
     }
   }
 
+  /// Parses a flag value as a plain finite decimal, aborting with the
+  /// token echoed as typed. Shape-gated before strtod: its grammar also
+  /// accepts "nan", "inf"/"infinity" (any case), hex floats and leading
+  /// whitespace — spellings that would silently run a different
+  /// experiment than the flag suggests.
+  double parse_decimal(const std::string& name, const std::string& token) {
+    const std::size_t first = token.size() > 1 && token[0] == '-' ? 1 : 0;
+    const bool decimal_shape =
+        token.size() > first && token[first] >= '0' && token[first] <= '9' &&
+        token.find_first_of("xX") == std::string::npos;
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (!decimal_shape || *end != '\0' || !std::isfinite(v)) {
+      fail("flag --" + name + " expects a number (finite decimal), got '" +
+           token + "'");
+    }
+    return v;
+  }
+
+  /// Records the flag for the usage listing; returns its value as
+  /// typed (marking it consumed), or null when it was not given.
+  const std::string* take(const std::string& name, const std::string& fallback,
+                          const std::string& help) {
+    described_[name] = {fallback, help};
+    const auto it = values_.find(name);
+    if (it == values_.end()) return nullptr;
+    consumed_.insert(name);
+    return &it->second;
+  }
+
   struct Description {
     std::string fallback;
     std::string help;
   };
-
-  void describe(const std::string& name, const std::string& fallback,
-                const std::string& help) {
-    described_[name] = {fallback, help};
-  }
 
   void print_usage() const {
     std::fprintf(stderr, "usage: %s [--flag=value ...]\n", program_.c_str());

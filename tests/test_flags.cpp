@@ -74,6 +74,35 @@ TEST(FlagsDeath, FractionalIntegerFlagAborts) {
       "expects an integer");
 }
 
+TEST(FlagsDeath, IntegerRejectionEchoesTheTokenAsTyped) {
+  EXPECT_DEATH(
+      {
+        Flags f = make({"--threads", "2.5"});
+        f.get_int("threads", 1, "");
+      },
+      "--threads expects an integer, got '2.5'");
+  EXPECT_DEATH(
+      {
+        Flags f = make({"--seed=5e9"});
+        f.get_int("seed", 1, "");
+      },
+      "got '5e9'");
+}
+
+TEST(FlagsDeath, HelpPrintsIntDefaultsAsIntegers) {
+  // The regex matches "(default 64)" but not "(default 64.000000)".
+  EXPECT_EXIT(
+      {
+        Flags f = make({"--help"});
+        f.get_int("threads", 64, "worker threads");
+        f.get_double("rate", 2.5, "arrival rate");
+        f.finish();
+      },
+      ::testing::ExitedWithCode(0),
+      "--rate +arrival rate \\(default 2\\.5.*"
+      "--threads +worker threads \\(default 64\\)");
+}
+
 TEST(FlagsDeath, OutOfIntRangeFlagAborts) {
   // Would be UB if cast before range-checking.
   EXPECT_DEATH(

@@ -120,14 +120,13 @@ TEST(Integration, PolicyInsensitivityOfVerdicts) {
   options.horizon = 1500;
   options.replicas = 3;
   options.initial_one_club = 100;
-  for (const char* policy : {"random-useful", "rarest-first",
-                             "most-common-first", "sequential"}) {
-    EXPECT_EQ(probe_swarm(stable, options, policy).verdict,
+  for (const PolicyName& policy : policy_names()) {
+    EXPECT_EQ(probe_swarm(stable, options, policy.kind).verdict,
               ProbeVerdict::kStable)
-        << policy;
-    EXPECT_EQ(probe_swarm(transient, options, policy).verdict,
+        << policy.token;
+    EXPECT_EQ(probe_swarm(transient, options, policy.kind).verdict,
               ProbeVerdict::kUnstable)
-        << policy;
+        << policy.token;
   }
 }
 

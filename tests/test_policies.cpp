@@ -13,7 +13,7 @@
 namespace p2p {
 namespace {
 
-class PolicyUsefulnessTest : public ::testing::TestWithParam<std::string> {};
+class PolicyUsefulnessTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(PolicyUsefulnessTest, AlwaysSelectsUsefulPiece) {
   auto policy = make_policy(GetParam());
@@ -31,16 +31,17 @@ TEST_P(PolicyUsefulnessTest, AlwaysSelectsUsefulPiece) {
     const SwarmView view{k, holders, 100};
     const int piece = policy->select(useful, target, view, rng);
     ASSERT_TRUE(useful.contains(piece))
-        << GetParam() << " selected " << piece << " outside "
+        << to_string(GetParam()) << " selected " << piece << " outside "
         << useful.to_string();
     ASSERT_FALSE(target.contains(piece));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyUsefulnessTest,
-                         ::testing::Values("random-useful", "rarest-first",
-                                           "most-common-first",
-                                           "sequential"));
+                         ::testing::Values(PolicyKind::kRandomUseful,
+                                           PolicyKind::kRarestFirst,
+                                           PolicyKind::kMostCommonFirst,
+                                           PolicyKind::kSequential));
 
 TEST(RandomUseful, UniformOverUsefulPieces) {
   RandomUsefulPolicy policy;
@@ -113,15 +114,37 @@ TEST(Sequential, PicksLowestIndex) {
   EXPECT_EQ(policy.select(PieceSet::single(7), PieceSet{}, view, rng), 7);
 }
 
-TEST(PolicyFactory, NamesRoundTrip) {
-  for (const char* name : {"random-useful", "rarest-first",
-                           "most-common-first", "sequential"}) {
-    EXPECT_EQ(make_policy(name)->name(), name);
+TEST(PolicyNames, EveryKindRoundTripsThroughBothSpellings) {
+  const auto names = policy_names();
+  ASSERT_EQ(names.size(), 4u);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const PolicyName& p = names[i];
+    EXPECT_EQ(static_cast<std::size_t>(p.kind), i) << p.token;
+    EXPECT_STREQ(to_string(p.kind), p.token);
+    EXPECT_EQ(parse_policy(p.token), p.kind) << p.token;
+    EXPECT_EQ(parse_policy(p.alias), p.kind) << p.alias;
+    EXPECT_EQ(make_policy(p.kind)->kind(), p.kind) << p.token;
   }
+  // The report tokens are what archived corpora carry; they never move.
+  EXPECT_STREQ(to_string(PolicyKind::kRandomUseful), "random-useful");
+  EXPECT_STREQ(to_string(PolicyKind::kRarestFirst), "rarest-first");
+  EXPECT_STREQ(to_string(PolicyKind::kMostCommonFirst), "most-common-first");
+  EXPECT_STREQ(to_string(PolicyKind::kSequential), "sequential");
+  EXPECT_EQ(parse_policy("rarest"), PolicyKind::kRarestFirst);
+  EXPECT_EQ(parse_policy("mostcommon"), PolicyKind::kMostCommonFirst);
+  EXPECT_EQ(parse_policy("random"), PolicyKind::kRandomUseful);
 }
 
-TEST(PolicyFactoryDeath, UnknownNameAborts) {
-  EXPECT_DEATH(make_policy("bittorrent"), "unknown");
+TEST(PolicyNames, UnknownNameFailsNamingInputAndValidList) {
+  for (const char* bad : {"bittorrent", "", "Rarest", "rarest ", "random-"}) {
+    EXPECT_FALSE(parse_policy(bad).has_value()) << '"' << bad << '"';
+  }
+  const std::string msg = unknown_policy_message("bittorrent");
+  EXPECT_NE(msg.find("\"bittorrent\""), std::string::npos) << msg;
+  for (const PolicyName& p : policy_names()) {
+    EXPECT_NE(msg.find(p.token), std::string::npos) << msg;
+    EXPECT_NE(msg.find(p.alias), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Quasi-stability analytics: excursion bookkeeping on synthetic series
-// and one-club onset detection on simulated swarms.
+// Quasi-stability analytics: one-club onset detection on simulated
+// swarms.
 #include "analysis/quasi_stability.hpp"
 
 #include <gtest/gtest.h>
@@ -9,46 +9,6 @@
 namespace p2p {
 namespace {
 
-TEST(Excursions, CountsAndDurations) {
-  TimeSeries ts;
-  //       t: 0  1  2  3  4  5  6  7  8  9
-  //       v: 0  5  5  0  0  7  0  5  5  5   (threshold 2)
-  const double vs[] = {0, 5, 5, 0, 0, 7, 0, 5, 5, 5};
-  for (int i = 0; i < 10; ++i) ts.push(i, vs[i]);
-  const ExcursionStats stats = excursions_above(ts, 2.0);
-  EXPECT_EQ(stats.count, 3);
-  // Durations: [1,3) = 2, [5,6) = 1, [7,9] = 2 (open at end).
-  EXPECT_NEAR(stats.mean_duration, (2.0 + 1.0 + 2.0) / 3.0, 1e-12);
-  EXPECT_NEAR(stats.max_duration, 2.0, 1e-12);
-  EXPECT_NEAR(stats.max_value, 7.0, 1e-12);
-  // Time above: samples 1,2 (2 units), 5 (1 unit), 7,8,9 (2 units counted
-  // up to the last timestamp).
-  EXPECT_NEAR(stats.fraction_above, 5.0 / 9.0, 1e-12);
-}
-
-TEST(Excursions, NoneAboveThreshold) {
-  TimeSeries ts;
-  for (int i = 0; i < 5; ++i) ts.push(i, 1.0);
-  const ExcursionStats stats = excursions_above(ts, 2.0);
-  EXPECT_EQ(stats.count, 0);
-  EXPECT_EQ(stats.fraction_above, 0.0);
-  EXPECT_EQ(stats.mean_duration, 0.0);
-}
-
-TEST(Excursions, AllAboveThreshold) {
-  TimeSeries ts;
-  for (int i = 0; i < 5; ++i) ts.push(i, 9.0);
-  const ExcursionStats stats = excursions_above(ts, 2.0);
-  EXPECT_EQ(stats.count, 1);
-  EXPECT_NEAR(stats.max_duration, 4.0, 1e-12);
-  EXPECT_NEAR(stats.fraction_above, 1.0, 1e-12);
-}
-
-TEST(Excursions, EmptySeries) {
-  const ExcursionStats stats = excursions_above(TimeSeries{}, 1.0);
-  EXPECT_EQ(stats.count, 0);
-}
-
 TEST(Onset, TransientSystemShowsOnset) {
   // Strongly transient K = 3 system: the one-club must form well before
   // the horizon.
@@ -57,7 +17,8 @@ TEST(Onset, TransientSystemShowsOnset) {
   OnsetOptions options;
   options.horizon = 3000;
   options.rng_seed = 3;
-  const OnsetResult result = detect_onset(params, "random-useful", options);
+  const OnsetResult result =
+      detect_onset(params, PolicyKind::kRandomUseful, options);
   EXPECT_TRUE(result.onset);
   EXPECT_LT(result.onset_time, options.horizon);
   EXPECT_GE(result.rare_piece, 0);
@@ -70,7 +31,8 @@ TEST(Onset, StableSystemShowsNoOnset) {
   OnsetOptions options;
   options.horizon = 1500;
   options.rng_seed = 4;
-  const OnsetResult result = detect_onset(params, "random-useful", options);
+  const OnsetResult result =
+      detect_onset(params, PolicyKind::kRandomUseful, options);
   EXPECT_FALSE(result.onset);
   EXPECT_EQ(result.onset_time, options.horizon);
   EXPECT_EQ(result.rare_piece, -1);
@@ -87,9 +49,10 @@ TEST(Onset, RarestFirstDelaysOnset) {
   const int reps = 4;
   for (std::uint64_t seed = 0; seed < reps; ++seed) {
     options.rng_seed = 10 + seed;
-    rarest += detect_onset(params, "rarest-first", options).onset_time;
+    rarest +=
+        detect_onset(params, PolicyKind::kRarestFirst, options).onset_time;
     common +=
-        detect_onset(params, "most-common-first", options).onset_time;
+        detect_onset(params, PolicyKind::kMostCommonFirst, options).onset_time;
   }
   EXPECT_GT(rarest / reps, common / reps);
 }

@@ -61,8 +61,9 @@ TEST(Groups, NormalYoungBecomesInfectedOnTrackedDownload) {
   // missing two others is infected, and stays infected through
   // completion. The sequential policy makes the seed deliver piece 0
   // first, so the infection (rather than one-club membership) is certain.
-  SwarmSim sim(frozen_params(3, 5.0, 1e-6), make_policy("sequential"),
-               SwarmSimOptions{.rng_seed = 5});
+  SwarmSim sim(frozen_params(3, 5.0, 1e-6),
+               SwarmSimOptions{.policy = PolicyKind::kSequential,
+                               .rng_seed = 5});
   sim.inject_peers(PieceSet{}, 1);
   for (int i = 0; i < 20000 && sim.holders_of(0) == 0; ++i) sim.step();
   ASSERT_EQ(sim.holders_of(0), 1);

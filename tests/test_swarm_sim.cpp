@@ -171,7 +171,7 @@ TEST(SwarmSimRetry, BoostLeavesStableSystemStable) {
   SwarmSimOptions options;
   options.retry_boost = 10.0;
   options.rng_seed = 33;
-  SwarmSim sim(params, make_policy("random-useful"), options);
+  SwarmSim sim(params, options);
   sim.run_until(2000.0);
   EXPECT_LT(sim.total_peers(), 200);
 }
@@ -206,7 +206,7 @@ TEST(SwarmSimRetry, UnsuccessfulContactsRetryFaster) {
     SwarmSimOptions options;
     options.rng_seed = 35;
     options.retry_boost = eta;
-    SwarmSim sim(params, make_policy("random-useful"), options);
+    SwarmSim sim(params, options);
     sim.inject_peers(PieceSet::full(2), 20);
     sim.run_until(200.0);
     return sim.silent_contacts();
@@ -229,13 +229,13 @@ TEST(SwarmSimRetry, FastRetryCanStabilizeAPushSystem) {
 
   SwarmSimOptions plain_options;
   plain_options.rng_seed = 34;
-  SwarmSim plain(params, make_policy("random-useful"), plain_options);
+  SwarmSim plain(params, plain_options);
   plain.run_until(1500.0);
 
   SwarmSimOptions boosted_options;
   boosted_options.rng_seed = 34;
   boosted_options.retry_boost = 10.0;
-  SwarmSim boosted(params, make_policy("random-useful"), boosted_options);
+  SwarmSim boosted(params, boosted_options);
   boosted.run_until(1500.0);
 
   EXPECT_GT(plain.total_peers(), 150);  // transient growth ~0.23/unit

@@ -59,6 +59,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -66,6 +67,7 @@
 #include "engine/refine.hpp"
 #include "engine/report.hpp"
 #include "engine/sweep.hpp"
+#include "sim/policy.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -183,8 +185,8 @@ int main(int argc, char** argv) {
       "adaptive mode: write the savings digest JSON here ('-' = stdout)");
   const std::string policy_spec = flags.get_string(
       "policy", "random",
-      "piece-selection policy the simulator runs: random | rarest | "
-      "mostcommon | sequential; non-random policies add a policy column");
+      "piece-selection policy the simulator runs: " + policy_spellings() +
+          "; non-random policies add a policy column");
   const bool fluid = flags.get_bool(
       "fluid", false,
       "integrate the fluid-limit ODE per cell and emit a fluid_verdict "
@@ -237,15 +239,13 @@ int main(int argc, char** argv) {
     grid.set_axis(Axis{"hetero", {hetero}});
   }
 
-  if (policy_spec != "random" && policy_spec != "rarest" &&
-      policy_spec != "mostcommon" && policy_spec != "sequential") {
-    std::fprintf(stderr,
-                 "error: --policy must be random, rarest, mostcommon or "
-                 "sequential (got \"%s\")\n",
-                 policy_spec.c_str());
+  const std::optional<PolicyKind> parsed_policy = parse_policy(policy_spec);
+  if (!parsed_policy) {
+    std::fprintf(stderr, "error: --policy: %s\n",
+                 unknown_policy_message(policy_spec).c_str());
     return 2;
   }
-  const PolicyKind policy = parse_policy(policy_spec);
+  const PolicyKind policy = *parsed_policy;
   if (policy != PolicyKind::kRandomUseful && theory_only) {
     // No simulator runs under --theory-only, so the policy could not
     // take effect; accepting it would look like it did.
