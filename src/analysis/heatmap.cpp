@@ -109,6 +109,56 @@ std::string fmt(double v) {
   return s;
 }
 
+/// "rgb(r,g,b)" fill of one colour.
+std::string rgb(Rgb c) {
+  return "rgb(" + std::to_string(c.r) + "," + std::to_string(c.g) + "," +
+         std::to_string(c.b) + ")";
+}
+
+/// Text content is XML-escaped: titles are caller input, and a bare '&'
+/// or '<' would make the whole document unparseable.
+std::string xml_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '&') {
+      out += "&amp;";
+    } else if (c == '<') {
+      out += "&lt;";
+    } else if (c == '>') {
+      out += "&gt;";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// The opening <svg> tag of a width x height document plus its
+/// background rect, shared by every SVG renderer below.
+std::string svg_open(int width, int height) {
+  return "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
+         std::to_string(width) + "\" height=\"" + std::to_string(height) +
+         "\" viewBox=\"0 0 " + std::to_string(width) + " " +
+         std::to_string(height) + "\">\n  <rect width=\"" +
+         std::to_string(width) + "\" height=\"" + std::to_string(height) +
+         "\" fill=\"" + kSurface + "\"/>\n";
+}
+
+/// Appends one <text> element at (x, y).
+void svg_text(std::string& out, double x, double y, const char* anchor,
+              const char* fill, int size, const std::string& s) {
+  out += "  <text x=\"";
+  fmt_into(out, x);
+  out += "\" y=\"";
+  fmt_into(out, y);
+  out += "\" text-anchor=\"";
+  out += anchor;
+  out += "\" fill=\"";
+  out += fill;
+  out += "\" font-family=\"system-ui, sans-serif\" font-size=\"" +
+         std::to_string(size) + "\">" + xml_escape(s) + "</text>\n";
+}
+
 }  // namespace
 
 namespace {
@@ -243,48 +293,8 @@ std::string render_svg(const PhaseGrid& grid,
           ? grid.y_axis + " vs " + grid.x_axis + " phase diagram"
           : options.title;
 
-  const auto rgb = [](Rgb c) {
-    return "rgb(" + std::to_string(c.r) + "," + std::to_string(c.g) + "," +
-           std::to_string(c.b) + ")";
-  };
-  // Text content is XML-escaped: the title is caller input, and a bare
-  // '&' or '<' would make the whole document unparseable.
-  const auto xml_escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '&') {
-        out += "&amp;";
-      } else if (c == '<') {
-        out += "&lt;";
-      } else if (c == '>') {
-        out += "&gt;";
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
-  std::string out;
-  const auto text = [&](double x, double y, const char* anchor,
-                        const char* fill, int size, const std::string& s) {
-    out += "  <text x=\"";
-    fmt_into(out, x);
-    out += "\" y=\"";
-    fmt_into(out, y);
-    out += "\" text-anchor=\"";
-    out += anchor;
-    out += "\" fill=\"";
-    out += fill;
-    out += "\" font-family=\"system-ui, sans-serif\" font-size=\"" +
-           std::to_string(size) + "\">" + xml_escape(s) + "</text>\n";
-  };
-  out += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-         std::to_string(width) + "\" height=\"" + std::to_string(height) +
-         "\" viewBox=\"0 0 " + std::to_string(width) + " " +
-         std::to_string(height) + "\">\n";
-  out += "  <rect width=\"" + std::to_string(width) + "\" height=\"" +
-         std::to_string(height) + "\" fill=\"" + kSurface + "\"/>\n";
-  text(left, 18, "start", kTextPrimary, 13, title);
+  std::string out = svg_open(width, height);
+  svg_text(out, left, 18, "start", kTextPrimary, 13, title);
 
   // Verdict legend on its own row under the title: two labeled
   // swatches plus the overlay key (identity is never color alone — the
@@ -293,21 +303,20 @@ std::string render_svg(const PhaseGrid& grid,
   out += "  <rect x=\"" + std::to_string(left) + "\" y=\"" +
          std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
          rgb(lerp(kMidpoint, kStablePole, 0.6)) + "\"/>\n";
-  text(left + 14, legend_y + 9, "start", kTextSecondary, 11,
-              "stable");
+  svg_text(out, left + 14, legend_y + 9, "start", kTextSecondary, 11, "stable");
   out += "  <rect x=\"" + std::to_string(left + 70) + "\" y=\"" +
          std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
          rgb(lerp(kMidpoint, kTransientPole, 0.6)) + "\"/>\n";
-  text(left + 84, legend_y + 9, "start", kTextSecondary, 11,
-              "transient");
+  svg_text(out, left + 84, legend_y + 9, "start", kTextSecondary, 11,
+           "transient");
   if (options.overlay_frontier) {
     out += "  <line x1=\"" + std::to_string(left + 160) + "\" y1=\"" +
            std::to_string(legend_y + 5) + "\" x2=\"" +
            std::to_string(left + 180) + "\" y2=\"" +
            std::to_string(legend_y + 5) + "\" stroke=\"" + rgb(kInk) +
            "\" stroke-width=\"2\"/>\n";
-    text(left + 186, legend_y + 9, "start", kTextSecondary, 11,
-                "frontier");
+    svg_text(out, left + 186, legend_y + 9, "start", kTextSecondary, 11,
+             "frontier");
   }
 
   // Cells, row-major from the top image row (last y value).
@@ -346,18 +355,18 @@ std::string render_svg(const PhaseGrid& grid,
 
   // Selective axis labels: the axis names plus first/last tick values.
   const int axis_y = top + plot_h;
-  text(left, axis_y + 16, "start", kTextSecondary, 11,
-              fmt(grid.x_values.front()));
-  text(left + plot_w, axis_y + 16, "end", kTextSecondary, 11,
-              fmt(grid.x_values.back()));
-  text(left + plot_w / 2.0, axis_y + 32, "middle", kTextPrimary, 12,
-              grid.x_axis);
-  text(left - 6, axis_y - plot_h + 12, "end", kTextSecondary, 11,
-              fmt(grid.y_values.back()));
-  text(left - 6, axis_y - 2, "end", kTextSecondary, 11,
-              fmt(grid.y_values.front()));
-  text(left - 6, axis_y - plot_h / 2.0, "end", kTextPrimary, 12,
-              grid.y_axis);
+  svg_text(out, left, axis_y + 16, "start", kTextSecondary, 11,
+           fmt(grid.x_values.front()));
+  svg_text(out, left + plot_w, axis_y + 16, "end", kTextSecondary, 11,
+           fmt(grid.x_values.back()));
+  svg_text(out, left + plot_w / 2.0, axis_y + 32, "middle", kTextPrimary, 12,
+           grid.x_axis);
+  svg_text(out, left - 6, axis_y - plot_h + 12, "end", kTextSecondary, 11,
+           fmt(grid.y_values.back()));
+  svg_text(out, left - 6, axis_y - 2, "end", kTextSecondary, 11,
+           fmt(grid.y_values.front()));
+  svg_text(out, left - 6, axis_y - plot_h / 2.0, "end", kTextPrimary, 12,
+           grid.y_axis);
   out += "</svg>\n";
   return out;
 }
@@ -482,47 +491,9 @@ std::string render_diff_svg(const PhaseGrid& baseline,
   const int width = std::max(left + plot_w + right, left + 240);
   const int height = top + plot_h + bottom;
 
-  const auto rgb = [](Rgb c) {
-    return "rgb(" + std::to_string(c.r) + "," + std::to_string(c.g) + "," +
-           std::to_string(c.b) + ")";
-  };
-  const auto xml_escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '&') {
-        out += "&amp;";
-      } else if (c == '<') {
-        out += "&lt;";
-      } else if (c == '>') {
-        out += "&gt;";
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
-  std::string out;
-  const auto text = [&](double x, double y, const char* anchor,
-                        const char* fill, int size, const std::string& s) {
-    out += "  <text x=\"";
-    fmt_into(out, x);
-    out += "\" y=\"";
-    fmt_into(out, y);
-    out += "\" text-anchor=\"";
-    out += anchor;
-    out += "\" fill=\"";
-    out += fill;
-    out += "\" font-family=\"system-ui, sans-serif\" font-size=\"" +
-           std::to_string(size) + "\">" + xml_escape(s) + "</text>\n";
-  };
-  out += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-         std::to_string(width) + "\" height=\"" + std::to_string(height) +
-         "\" viewBox=\"0 0 " + std::to_string(width) + " " +
-         std::to_string(height) + "\">\n";
-  out += "  <rect width=\"" + std::to_string(width) + "\" height=\"" +
-         std::to_string(height) + "\" fill=\"" + kSurface + "\"/>\n";
-  text(left, 18, "start", kTextPrimary, 13,
-       diff_title(baseline, variant, options));
+  std::string out = svg_open(width, height);
+  svg_text(out, left, 18, "start", kTextPrimary, 13,
+           diff_title(baseline, variant, options));
 
   // Legend: the two difference arms (labels carry the meaning, the
   // swatches sit at mid-ramp like the verdict legend's).
@@ -530,13 +501,13 @@ std::string render_diff_svg(const PhaseGrid& baseline,
   out += "  <rect x=\"" + std::to_string(left) + "\" y=\"" +
          std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
          rgb(lerp(kMidpoint, kStablePole, 0.6)) + "\"/>\n";
-  text(left + 14, legend_y + 9, "start", kTextSecondary, 11,
-       "fewer peers");
+  svg_text(out, left + 14, legend_y + 9, "start", kTextSecondary, 11,
+           "fewer peers");
   out += "  <rect x=\"" + std::to_string(left + 90) + "\" y=\"" +
          std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
          rgb(lerp(kMidpoint, kTransientPole, 0.6)) + "\"/>\n";
-  text(left + 104, legend_y + 9, "start", kTextSecondary, 11,
-       "more peers");
+  svg_text(out, left + 104, legend_y + 9, "start", kTextSecondary, 11,
+           "more peers");
 
   for (std::size_t yi = 0; yi < ny; ++yi) {
     const int y = top + static_cast<int>(ny - 1 - yi) * px;
@@ -550,18 +521,18 @@ std::string render_diff_svg(const PhaseGrid& baseline,
   }
 
   const int axis_y = top + plot_h;
-  text(left, axis_y + 16, "start", kTextSecondary, 11,
-       fmt(baseline.x_values.front()));
-  text(left + plot_w, axis_y + 16, "end", kTextSecondary, 11,
-       fmt(baseline.x_values.back()));
-  text(left + plot_w / 2.0, axis_y + 32, "middle", kTextPrimary, 12,
-       baseline.x_axis);
-  text(left - 6, axis_y - plot_h + 12, "end", kTextSecondary, 11,
-       fmt(baseline.y_values.back()));
-  text(left - 6, axis_y - 2, "end", kTextSecondary, 11,
-       fmt(baseline.y_values.front()));
-  text(left - 6, axis_y - plot_h / 2.0, "end", kTextPrimary, 12,
-       baseline.y_axis);
+  svg_text(out, left, axis_y + 16, "start", kTextSecondary, 11,
+           fmt(baseline.x_values.front()));
+  svg_text(out, left + plot_w, axis_y + 16, "end", kTextSecondary, 11,
+           fmt(baseline.x_values.back()));
+  svg_text(out, left + plot_w / 2.0, axis_y + 32, "middle", kTextPrimary, 12,
+           baseline.x_axis);
+  svg_text(out, left - 6, axis_y - plot_h + 12, "end", kTextSecondary, 11,
+           fmt(baseline.y_values.back()));
+  svg_text(out, left - 6, axis_y - 2, "end", kTextSecondary, 11,
+           fmt(baseline.y_values.front()));
+  svg_text(out, left - 6, axis_y - plot_h / 2.0, "end", kTextPrimary, 12,
+           baseline.y_axis);
   out += "</svg>\n";
   return out;
 }
@@ -687,46 +658,8 @@ std::string render_boxes_svg(const BoxGrid& grid,
           ? grid.y_axis + " vs " + grid.x_axis + " adaptive phase diagram"
           : options.title;
 
-  const auto rgb = [](Rgb c) {
-    return "rgb(" + std::to_string(c.r) + "," + std::to_string(c.g) + "," +
-           std::to_string(c.b) + ")";
-  };
-  const auto xml_escape = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '&') {
-        out += "&amp;";
-      } else if (c == '<') {
-        out += "&lt;";
-      } else if (c == '>') {
-        out += "&gt;";
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
-  std::string out;
-  const auto text = [&](double x, double y, const char* anchor,
-                        const char* fill, int size, const std::string& s) {
-    out += "  <text x=\"";
-    fmt_into(out, x);
-    out += "\" y=\"";
-    fmt_into(out, y);
-    out += "\" text-anchor=\"";
-    out += anchor;
-    out += "\" fill=\"";
-    out += fill;
-    out += "\" font-family=\"system-ui, sans-serif\" font-size=\"" +
-           std::to_string(size) + "\">" + xml_escape(s) + "</text>\n";
-  };
-  out += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" +
-         std::to_string(width) + "\" height=\"" + std::to_string(height) +
-         "\" viewBox=\"0 0 " + std::to_string(width) + " " +
-         std::to_string(height) + "\">\n";
-  out += "  <rect width=\"" + std::to_string(width) + "\" height=\"" +
-         std::to_string(height) + "\" fill=\"" + kSurface + "\"/>\n";
-  text(left, 18, "start", kTextPrimary, 13, title);
+  std::string out = svg_open(width, height);
+  svg_text(out, left, 18, "start", kTextPrimary, 13, title);
 
   // Verdict legend plus the frontier-cover swatch (a filled square, not
   // a line: the cover is an area here, not a polyline).
@@ -734,16 +667,18 @@ std::string render_boxes_svg(const BoxGrid& grid,
   out += "  <rect x=\"" + std::to_string(left) + "\" y=\"" +
          std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
          rgb(lerp(kMidpoint, kStablePole, 0.6)) + "\"/>\n";
-  text(left + 14, legend_y + 9, "start", kTextSecondary, 11, "stable");
+  svg_text(out, left + 14, legend_y + 9, "start", kTextSecondary, 11, "stable");
   out += "  <rect x=\"" + std::to_string(left + 70) + "\" y=\"" +
          std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
          rgb(lerp(kMidpoint, kTransientPole, 0.6)) + "\"/>\n";
-  text(left + 84, legend_y + 9, "start", kTextSecondary, 11, "transient");
+  svg_text(out, left + 84, legend_y + 9, "start", kTextSecondary, 11,
+           "transient");
   if (options.overlay_frontier) {
     out += "  <rect x=\"" + std::to_string(left + 160) + "\" y=\"" +
            std::to_string(legend_y) + "\" width=\"10\" height=\"10\" fill=\"" +
            rgb(kInk) + "\"/>\n";
-    text(left + 174, legend_y + 9, "start", kTextSecondary, 11, "frontier");
+    svg_text(out, left + 174, legend_y + 9, "start", kTextSecondary, 11,
+             "frontier");
   }
 
   // One rect per leaf at exact coordinates: shared edges are shared
@@ -767,16 +702,18 @@ std::string render_boxes_svg(const BoxGrid& grid,
   }
 
   const int axis_y = top + plot_h;
-  text(left, axis_y + 16, "start", kTextSecondary, 11, fmt(grid.x_min));
-  text(left + plot_w, axis_y + 16, "end", kTextSecondary, 11,
-       fmt(grid.x_max));
-  text(left + plot_w / 2.0, axis_y + 32, "middle", kTextPrimary, 12,
-       grid.x_axis);
-  text(left - 6, axis_y - plot_h + 12, "end", kTextSecondary, 11,
-       fmt(grid.y_max));
-  text(left - 6, axis_y - 2, "end", kTextSecondary, 11, fmt(grid.y_min));
-  text(left - 6, axis_y - plot_h / 2.0, "end", kTextPrimary, 12,
-       grid.y_axis);
+  svg_text(out, left, axis_y + 16, "start", kTextSecondary, 11,
+           fmt(grid.x_min));
+  svg_text(out, left + plot_w, axis_y + 16, "end", kTextSecondary, 11,
+           fmt(grid.x_max));
+  svg_text(out, left + plot_w / 2.0, axis_y + 32, "middle", kTextPrimary, 12,
+           grid.x_axis);
+  svg_text(out, left - 6, axis_y - plot_h + 12, "end", kTextSecondary, 11,
+           fmt(grid.y_max));
+  svg_text(out, left - 6, axis_y - 2, "end", kTextSecondary, 11,
+           fmt(grid.y_min));
+  svg_text(out, left - 6, axis_y - plot_h / 2.0, "end", kTextPrimary, 12,
+           grid.y_axis);
   out += "</svg>\n";
   return out;
 }

@@ -313,6 +313,20 @@ SweepGrid effective_grid(const SweepGrid& grid) {
   return effective;
 }
 
+SweepGrid validated_effective_grid(const SweepGrid& grid,
+                                   const SweepOptions& options) {
+  validate_caller_axes(grid);
+  validate_options(options);
+  SweepGrid effective = effective_grid(grid);
+  validate_effective_axes(effective, options);
+  if (!options.theory_only && options.sim_backend == SimBackend::kTypeCount) {
+    const std::string violation =
+        typecount_domain_violation(effective, options.scenario);
+    P2P_ASSERT_MSG(violation.empty(), violation);
+  }
+  return effective;
+}
+
 void fill_cell(CellResult& r, std::size_t cell, const CellParams& p,
                const SweepOptions& options,
                std::vector<ArrivalSpec>& arrival_scratch) {

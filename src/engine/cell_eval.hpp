@@ -10,6 +10,7 @@
 // at the same parameters can never disagree.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,9 +52,10 @@ struct AxisSlots {
 
 AxisSlots resolve_axis_slots(const SweepGrid& grid);
 
-/// extract_params without the name lookups and integrality asserts —
-/// validate_effective_axes already vetted every grid value once up
-/// front, so the per-cell path only rounds.
+/// The cell parameters at axis values `v` (aligned with the grid whose
+/// slots `s` are). No integrality asserts: validate_effective_axes
+/// already vetted every grid value once up front, so the per-cell path
+/// only rounds k and flash.
 CellParams cell_params(const AxisSlots& s, const std::vector<double>& v,
                        PolicyKind policy);
 
@@ -85,6 +87,31 @@ void validate_options(const SweepOptions& options);
 /// the single source of fallback values, so a partial grid cannot
 /// silently simulate at undocumented parameters.
 SweepGrid effective_grid(const SweepGrid& grid);
+
+/// The prelude every sweep-shaped run (grid, frontier, adaptive) starts
+/// with: validates the caller's axes and the options, fills in the
+/// effective grid, validates its values, and — when a simulating run
+/// forces the type-count backend — aborts naming the first axis value
+/// outside that backend's domain: a forced backend must never silently
+/// change the law (kAuto falls back per cell instead).
+SweepGrid validated_effective_grid(const SweepGrid& grid,
+                                   const SweepOptions& options);
+
+/// Result counts per bin. Verdict tallies bin by the Stability enum
+/// value; the frontier counts unbracketed / bracketed rows in bins 0 / 1.
+using Tally = std::array<std::size_t, 3>;
+
+/// The one verdict tally: copies a verdict-binned Tally into a summary's
+/// stable / transient / borderline counts (SweepSummary,
+/// AdaptiveSummary).
+template <class Summary>
+void store_verdict_tally(const Tally& tally, Summary& summary) {
+  summary.stable =
+      tally[static_cast<std::size_t>(Stability::kPositiveRecurrent)];
+  summary.transient = tally[static_cast<std::size_t>(Stability::kTransient)];
+  summary.borderline =
+      tally[static_cast<std::size_t>(Stability::kBorderline)];
+}
 
 /// Fills the non-sim fields of one cell — everything the cell's first
 /// work item computes besides its own simulation. Resets the struct

@@ -63,8 +63,8 @@ struct AdaptiveLattice {
 AdaptiveLattice make_lattice(const SweepGrid& grid,
                              const SweepOptions& options,
                              const AdaptiveOptions& adaptive) {
-  validate_caller_axes(grid);
-  validate_options(options);
+  AdaptiveLattice lat;
+  lat.effective = validated_effective_grid(grid, options);
   P2P_ASSERT_MSG(
       adaptive.max_depth >= 0 && adaptive.max_depth <= kMaxAdaptiveDepth,
       "adaptive depth must lie in [0, " + std::to_string(kMaxAdaptiveDepth) +
@@ -74,9 +74,6 @@ AdaptiveLattice make_lattice(const SweepGrid& grid,
   P2P_ASSERT_MSG(adaptive.max_sim_rounds >= 1,
                  "adaptive max_sim_rounds must be >= 1");
 
-  AdaptiveLattice lat;
-  lat.effective = effective_grid(grid);
-  validate_effective_axes(lat.effective, options);
   lat.slots = resolve_axis_slots(lat.effective);
   lat.scale = std::uint64_t{1} << adaptive.max_depth;
   for (std::size_t i = 0; i < lat.effective.axes.size(); ++i) {
@@ -257,6 +254,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
 
   AdaptiveSummary summary;
   summary.dense_equivalent = lat.dense_equivalent;
+  Tally verdicts{};
   const std::size_t d = lat.axes.size();
   const std::uint64_t corners = std::uint64_t{1} << d;
 
@@ -367,17 +365,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     writer.write_row(cells);
     ++summary.boxes;
     summary.max_depth_reached = std::max(summary.max_depth_reached, box.depth);
-    switch (cell.theory.verdict) {
-      case Stability::kPositiveRecurrent:
-        ++summary.stable;
-        break;
-      case Stability::kTransient:
-        ++summary.transient;
-        break;
-      case Stability::kBorderline:
-        ++summary.borderline;
-        break;
-    }
+    ++verdicts[static_cast<std::size_t>(cell.theory.verdict)];
   };
 
   while (!current.empty()) {
@@ -430,12 +418,8 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     if (new_keys.empty()) {
       process_ready(0);
     } else {
-      const std::size_t chunk =
-          options.chunk != 0
-              ? options.chunk
-              : ThreadPool::auto_chunk(new_keys.size(), pool.size());
       pool.parallel_for_streaming(
-          new_keys.size(), chunk, /*window=*/0,
+          new_keys.size(), options.chunk, /*window=*/0,
           [&](std::size_t i) {
             evaluate_vertex(lat, options, adaptive, new_keys[i], *targets[i]);
           },
@@ -445,6 +429,7 @@ AdaptiveSummary run_adaptive_stream(const SweepGrid& grid,
     current.swap(next);
   }
 
+  store_verdict_tally(verdicts, summary);
   summary.evaluated = verts.size();
   summary.simulated = options.theory_only ? 0 : verts.size();
   for (const auto& [key, vr] : verts) {

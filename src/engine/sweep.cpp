@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 
@@ -36,38 +37,6 @@ constexpr const char* kRefinableAxes[] = {"lambda", "us", "mu", "gamma",
 double parse_value(const std::string& token, const std::string& spec) {
   return parse_number(token, spec, /*allow_inf=*/true,
                       "axis values must be numbers (or 'inf')");
-}
-
-double axis_value(const std::vector<Axis>& axes,
-                  const std::vector<double>& values,
-                  const std::string& name) {
-  for (std::size_t i = 0; i < axes.size(); ++i) {
-    if (axes[i].name == name) return values[i];
-  }
-  P2P_ASSERT_MSG(false, "sweep cell queried for an axis the grid lacks");
-  return 0;
-}
-
-CellParams extract_params(const std::vector<Axis>& axes,
-                          const std::vector<double>& values) {
-  CellParams p;
-  p.lambda = axis_value(axes, values, "lambda");
-  p.us = axis_value(axes, values, "us");
-  p.mu = axis_value(axes, values, "mu");
-  p.gamma = axis_value(axes, values, "gamma");
-  p.eta = axis_value(axes, values, "eta");
-  p.mix = axis_value(axes, values, "mix");
-  p.hetero = axis_value(axes, values, "hetero");
-  const double k_raw = axis_value(axes, values, "k");
-  p.k = static_cast<int>(std::lround(k_raw));
-  P2P_ASSERT_MSG(p.k >= 1 && std::abs(k_raw - p.k) < 1e-9,
-                 "axis k must take positive integer values");
-  const double flash_raw = axis_value(axes, values, "flash");
-  p.flash = std::llround(flash_raw);
-  P2P_ASSERT_MSG(p.flash >= 0 &&
-                     std::abs(flash_raw - static_cast<double>(p.flash)) < 1e-9,
-                 "axis flash must take nonnegative integer values");
-  return p;
 }
 
 /// Odometer over the grid's cell enumeration (last axis fastest): a
@@ -373,8 +342,7 @@ void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
   row.end();
 }
 
-/// Chunk, claim-window and ring sizing shared by the grid and frontier
-/// streaming pipelines.
+/// Chunk, claim-window and ring sizing of the ordered-completion driver.
 struct RingPlan {
   /// Work items claimed per pool mutex acquisition.
   std::size_t chunk = 1;
@@ -394,8 +362,11 @@ struct RingPlan {
   /// chunk % replicas != 0 a mid-block prefix let a claimable tail item
   /// overwrite the straddling block's samples.)
   std::size_t ring_items = 0;
-  /// Per-cell / per-row result ring length.
-  std::size_t block_ring = 1;
+  /// Per-unit slot ring and chunk-slot ring lengths. Both are powers of
+  /// two, so a slot lookup is a mask, not a division; rounding up only
+  /// grows a ring, so the reuse-safety argument above is unchanged.
+  std::size_t unit_ring = 1;
+  std::size_t chunk_ring = 1;
 };
 
 RingPlan plan_rings(std::size_t num_items, std::size_t replicas,
@@ -410,13 +381,21 @@ RingPlan plan_rings(std::size_t num_items, std::size_t replicas,
   std::size_t ring_items = plan.window + (replicas - 1);
   ring_items = ((ring_items + replicas - 1) / replicas) * replicas;
   plan.ring_items = std::min(ring_items, num_items);
-  plan.block_ring = plan.ring_items / replicas + 1;
+  while (plan.unit_ring < plan.ring_items / replicas + 1) plan.unit_ring *= 2;
+  while (plan.chunk_ring < window_chunks + 2) plan.chunk_ring *= 2;
   return plan;
 }
 
-/// One ring slot of in-flight cell state. `pending` is the replica
+/// What opening a unit on a block yields: the parameters its replicas
+/// simulate at, and whether it simulates at all.
+struct OpenedUnit {
+  CellParams params;
+  bool simulate = false;
+};
+
+/// One ring slot of an in-flight unit. `pending` is the replica
 /// countdown that elects the slot's aggregator/renderer: every worker
-/// block that finishes items of the cell decrements by the number it
+/// block that finishes items of the unit decrements by the number it
 /// finished, and the decrement that reaches zero (an acq_rel RMW, so it
 /// observes every earlier finisher's writes through the release
 /// sequence) aggregates the samples and renders the row. The consumer
@@ -430,242 +409,183 @@ RingPlan plan_rings(std::size_t num_items, std::size_t replicas,
 /// cost the 4-thread theory sweep 30-50% more CPU time on a 4-core x86
 /// box whenever the heap happened to place the ring off a line
 /// boundary.
-struct alignas(64) CellSlot {
-  CellResult result;
+template <class Result>
+struct alignas(64) UnitSlot {
+  Result result;
   std::string arena;
   std::atomic<std::size_t> pending{0};
 };
 
 /// One ring slot of the chunk-batched writer path (replicas == 1): the
-/// finished block's rendered bytes plus its verdict tallies. With one
-/// item per cell a claimed block is completed entirely by its worker,
-/// so the whole chunk's rows can share one arena and the consumer pays
-/// one write_rendered — and one ring access — per CHUNK instead of per
-/// cell. Reuse safety is the claim window again: a chunk index is only
+/// finished block's rendered bytes plus its tally. With one item per
+/// unit a claimed block is completed entirely by its worker, so the
+/// whole chunk's rows share one arena and the consumer pays one
+/// write_rendered — and one ring access — per CHUNK instead of per
+/// unit. Reuse safety is the claim window again: a chunk index is only
 /// claimable within window_chunks of the consumed prefix, and the ring
-/// is larger than the window. Cache-line aligned like CellSlot.
+/// is larger than the window. Cache-line aligned like UnitSlot.
 struct alignas(64) ChunkSlot {
   std::string arena;
   std::size_t rows = 0;
-  std::size_t stable = 0, transient = 0, borderline = 0;
+  Tally tally{};
 };
 
-/// The shared sweep pipeline behind run_sweep and run_sweep_stream:
-/// validates, expands the grid, fans the (cell, replica) items across
-/// the pool in chunk-sized blocks, and emits each finished cell in index
-/// order as soon as every cell before it is complete. Live state is a
-/// ring of O(window) items.
+/// The ordered-completion driver behind every grid and frontier run:
+/// fans the (unit, replica) items — a unit is a grid cell or a frontier
+/// row — across the pool in chunk-sized blocks, and emits each finished
+/// unit in index order as soon as every unit before it is complete.
+/// Live state is a ring of O(window) items. Seeds key on the unit index
+/// and replica alone, so the emitted bytes cannot depend on scheduling.
 ///
-/// Exactly one of `sink` / `writer` is non-null. With a writer, the
-/// cell's report row is rendered INSIDE the worker that finishes it
+/// `Unit` supplies what differs between grid and frontier:
+///   Result                 the per-unit record;
+///   kSimStream/kAggStream  the seed streams of its replica sims and of
+///                          their aggregation bootstrap;
+///   Block                  per-claimed-block state built from (unit,
+///                          first unit index): open(result, u, fill)
+///                          yields the unit's OpenedUnit and, when
+///                          `fill` (the unit's first item), fills
+///                          `result`; render(result, arena) appends its
+///                          row; advance() steps to the next unit;
+///   sim(result)            where the aggregated replicas land;
+///   bin(result)            its bin in the returned Tally.
+///
+/// Exactly one of `sink` / `writer` is non-null. With a writer, a
+/// unit's report row is rendered INSIDE the worker that finishes it
 /// (into the slot's reusable arena), and the consumer thread only
 /// concatenates finished spans into the writer — formatting scales with
 /// the pool instead of serializing on the consumer. With a sink, the
-/// CellResult is handed over unrendered (run_sweep keeps the structs).
-SweepSummary sweep_cells_ordered(const SweepGrid& grid,
-                                 const SweepOptions& options,
-                                 const std::function<void(CellResult&&)>* sink,
-                                 ReportWriter* writer) {
+/// Result is handed over unrendered. With a writer and one replica per
+/// unit the driver batches whole chunks (ChunkSlot): the ring carries
+/// (range, bytes) instead of per-unit slots.
+template <class Unit>
+Tally run_ordered(const Unit& unit, std::size_t num_units,
+                  std::size_t replicas, const SweepOptions& options,
+                  const std::function<void(typename Unit::Result&&)>* sink,
+                  ReportWriter* writer) {
+  using Result = typename Unit::Result;
   P2P_ASSERT((sink != nullptr) != (writer != nullptr));
-  validate_caller_axes(grid);
-  validate_options(options);
-  const SweepGrid effective = effective_grid(grid);
-  validate_effective_axes(effective, options);
-  if (!options.theory_only && options.sim_backend == SimBackend::kTypeCount) {
-    // A forced backend must never silently change the law: abort up
-    // front, naming the offending axis, instead of running out-of-domain
-    // cells on the wrong simulator (kAuto falls back per cell instead).
-    const std::string violation =
-        typecount_domain_violation(effective, options.scenario);
-    P2P_ASSERT_MSG(violation.empty(), violation);
-  }
-
-  const std::size_t num_cells = effective.num_cells();
-  // Theory-only sweeps run one closed-form item per cell: fanning unused
-  // replica slots would just multiply claim traffic.
-  const std::size_t replicas =
-      options.theory_only ? 1 : static_cast<std::size_t>(options.replicas);
-  P2P_ASSERT_MSG(num_cells <= SIZE_MAX / replicas,
+  P2P_ASSERT_MSG(num_units <= SIZE_MAX / replicas,
                  "sweep work item count overflows size_t (" +
-                     std::to_string(num_cells) + " cells x " +
+                     std::to_string(num_units) + " units x " +
                      std::to_string(replicas) + " replicas)");
-  const std::size_t num_items = num_cells * replicas;
-
+  const std::size_t num_items = num_units * replicas;
   const RingPlan plan = plan_rings(num_items, replicas, options);
-  const std::size_t ring_items = plan.ring_items;
-  // The slot ring is rounded up to a power of two so the per-cell slot
-  // lookup is a mask, not a division — the ring only ever grows, so the
-  // reuse-safety argument (claim window opens after the consumer) is
-  // unchanged.
-  std::size_t cell_ring = 1;
-  while (cell_ring < plan.block_ring) cell_ring *= 2;
-  const std::size_t slot_mask = cell_ring - 1;
 
-  // With one item per cell and a writer, a claimed block is finished
-  // entirely by one worker, so the pipeline batches whole chunks: each
-  // block renders into its chunk's arena and the ring carries
-  // (range, bytes) instead of per-cell structs.
   const bool chunk_mode = writer != nullptr && replicas == 1;
-  std::size_t chunk_ring = 1;
-  if (chunk_mode) {
-    const std::size_t window_chunks = plan.window / plan.chunk;
-    while (chunk_ring < window_chunks + 2) chunk_ring *= 2;
-  }
-  const std::size_t chunk_mask = chunk_ring - 1;
-  std::vector<ChunkSlot> chunk_slots(chunk_mode ? chunk_ring : 0);
-
+  const std::size_t chunk_mask = plan.chunk_ring - 1;
+  const std::size_t slot_mask = plan.unit_ring - 1;
+  std::vector<ChunkSlot> chunk_slots(chunk_mode ? plan.chunk_ring : 0);
+  std::vector<UnitSlot<Result>> slots(chunk_mode ? 0 : plan.unit_ring);
   std::vector<ReplicaSample> samples(
-      options.theory_only || chunk_mode ? 0 : ring_items);
-  std::vector<CellSlot> slots(chunk_mode ? 0 : cell_ring);
+      options.theory_only || chunk_mode ? 0 : plan.ring_items);
   if (replicas > 1) {
     for (auto& slot : slots) {
       slot.pending.store(replicas, std::memory_order_relaxed);
     }
   }
 
-  const AxisSlots axis_slots = resolve_axis_slots(effective);
-  std::optional<GridRenderPlan> render;
-  if (writer != nullptr) {
-    render.emplace(
-        make_grid_render_plan(effective, axis_slots, options, *writer));
-  }
+  const auto simulate = [&](const CellParams& p, std::size_t u,
+                            std::size_t replica) {
+    return simulate_replica(
+        p, options,
+        derive_seed(options.base_seed, Unit::kSimStream, u, replica));
+  };
+  const auto aggregate = [&](Result& r, std::size_t u,
+                             std::span<const ReplicaSample> unit_samples) {
+    Rng agg_rng(derive_seed(options.base_seed, Unit::kAggStream, u, 0));
+    Unit::sim(r) = aggregate_samples(unit_samples, options, agg_rng);
+  };
 
-  SweepSummary summary;
-  summary.cells = num_cells;
+  Tally tally{};
   std::size_t emitted = 0;
-
   ThreadPool pool(options.threads);
   pool.parallel_for_streaming_blocks(
       num_items, plan.chunk, plan.window,
       [&](std::size_t begin, std::size_t end) {
-        // One claimed block: walk its cells with an odometer cursor and
-        // a reused arrival buffer — the per-item work is rounding, the
-        // closed form, and (in replica mode) the simulations; nothing
-        // here allocates per cell in the theory-only path.
-        CellCursor cursor(effective);
-        cursor.seek(begin / replicas);
-        std::vector<ArrivalSpec> arrival_scratch;
+        typename Unit::Block block(unit, begin / replicas);
         if (chunk_mode) {
-          // Chunk-batched path: one local CellResult reused across the
-          // block's cells, rows appended to the chunk's arena, verdicts
-          // tallied into the chunk slot (the sums are order-free, so
-          // the totals stay deterministic).
+          // One local Result reused across the block's units, rows
+          // appended to the chunk's arena, bins counted into the chunk
+          // slot (the sums are order-free, so the totals stay
+          // deterministic).
           ChunkSlot& cslot = chunk_slots[(begin / plan.chunk) & chunk_mask];
           cslot.arena.clear();
           cslot.rows = end - begin;
-          cslot.stable = cslot.transient = cslot.borderline = 0;
-          CellResult result;
-          for (std::size_t cell = begin; cell < end; ++cell) {
-            const CellParams p = cell_params(axis_slots, cursor.values(),
-                                             options.scenario.policy);
-            fill_cell(result, cell, p, options, arrival_scratch);
-            if (!options.theory_only) {
-              const ReplicaSample sample = simulate_replica(
-                  p, options,
-                  derive_seed(options.base_seed, kStreamCellSim, cell, 0));
-              Rng agg_rng(
-                  derive_seed(options.base_seed, kStreamCellAgg, cell, 0));
-              result.sim = aggregate_samples(
-                  std::span<const ReplicaSample>(&sample, 1), options,
-                  agg_rng);
+          cslot.tally = {};
+          Result result;
+          for (std::size_t u = begin; u < end; ++u) {
+            const OpenedUnit opened = block.open(result, u, /*fill=*/true);
+            if (opened.simulate) {
+              const ReplicaSample sample = simulate(opened.params, u, 0);
+              aggregate(result, u, {&sample, 1});
             }
-            switch (result.theory.verdict) {
-              case Stability::kPositiveRecurrent:
-                ++cslot.stable;
-                break;
-              case Stability::kTransient:
-                ++cslot.transient;
-                break;
-              case Stability::kBorderline:
-                ++cslot.borderline;
-                break;
-            }
-            render_grid_row(*render, options, cursor.digits(), result,
-                            cslot.arena);
-            if (cell + 1 < end) cursor.advance();
+            ++cslot.tally[Unit::bin(result)];
+            block.render(result, cslot.arena);
+            if (u + 1 < end) block.advance();
           }
           return;
         }
-        // single = the one-replica shape: item == cell, so the per-cell
+        // single = the one-replica shape: item == unit, so the per-unit
         // loop below runs no division at all.
         const bool single = replicas == 1;
         std::size_t item = begin;
         while (item < end) {
-          const std::size_t cell = single ? item : item / replicas;
-          const std::size_t cell_end =
-              single ? item + 1 : std::min(end, (cell + 1) * replicas);
-          CellSlot& slot = slots[cell & slot_mask];
-          const CellParams p = cell_params(axis_slots, cursor.values(),
-                                           options.scenario.policy);
-          if (single || item % replicas == 0) {
-            fill_cell(slot.result, cell, p, options, arrival_scratch);
-          }
-          if (!options.theory_only) {
-            for (std::size_t it = item; it < cell_end; ++it) {
-              samples[it % ring_items] = simulate_replica(
-                  p, options,
-                  derive_seed(options.base_seed, kStreamCellSim, cell,
-                              it % replicas));
+          const std::size_t u = single ? item : item / replicas;
+          const std::size_t u_end =
+              single ? item + 1 : std::min(end, (u + 1) * replicas);
+          UnitSlot<Result>& slot = slots[u & slot_mask];
+          const OpenedUnit opened =
+              block.open(slot.result, u, single || item % replicas == 0);
+          if (opened.simulate) {
+            for (std::size_t it = item; it < u_end; ++it) {
+              samples[it % plan.ring_items] =
+                  simulate(opened.params, u, it % replicas);
             }
           }
-          // The finisher that completes the cell (with one replica:
+          // The finisher that completes the unit (with one replica:
           // always this block) aggregates and renders it, on whatever
           // worker thread it ran — seeds and formatting depend only on
-          // the cell index, so the bytes cannot.
-          const std::size_t done = cell_end - item;
+          // the unit index, so the bytes cannot.
+          const std::size_t done = u_end - item;
           const bool last =
               single ||
               slot.pending.fetch_sub(done, std::memory_order_acq_rel) == done;
           if (last) {
-            if (!options.theory_only) {
-              Rng agg_rng(
-                  derive_seed(options.base_seed, kStreamCellAgg, cell, 0));
-              slot.result.sim = aggregate_samples(
-                  std::span<const ReplicaSample>(
-                      samples.data() + (cell * replicas) % ring_items,
-                      replicas),
-                  options, agg_rng);
+            if (opened.simulate) {
+              aggregate(slot.result, u,
+                        {samples.data() + (u * replicas) % plan.ring_items,
+                         replicas});
             }
-            if (render) {
+            if (writer != nullptr) {
               slot.arena.clear();
-              render_grid_row(*render, options, cursor.digits(), slot.result,
-                              slot.arena);
+              block.render(slot.result, slot.arena);
             }
           }
-          item = cell_end;
-          if (item < end) cursor.advance();
+          item = u_end;
+          if (item < end) block.advance();
         }
       },
       [&](std::size_t prefix_items) {
-        // The consumer runs serially on the calling thread in cell
-        // order; with a writer it only tallies verdicts and concatenates
-        // the pre-rendered spans — one span per chunk in chunk mode.
+        // The consumer runs serially on the calling thread in unit
+        // order; with a writer it only tallies and concatenates the
+        // pre-rendered spans — one span per chunk in chunk mode.
         if (chunk_mode) {
           while (emitted < prefix_items) {
             ChunkSlot& cslot =
                 chunk_slots[(emitted / plan.chunk) & chunk_mask];
             writer->write_rendered(cslot.arena, cslot.rows);
-            summary.stable += cslot.stable;
-            summary.transient += cslot.transient;
-            summary.borderline += cslot.borderline;
+            for (std::size_t b = 0; b < tally.size(); ++b) {
+              tally[b] += cslot.tally[b];
+            }
             emitted += cslot.rows;
           }
           return;
         }
-        const std::size_t complete_cells = prefix_items / replicas;
-        for (; emitted < complete_cells; ++emitted) {
-          CellSlot& slot = slots[emitted & slot_mask];
-          switch (slot.result.theory.verdict) {
-            case Stability::kPositiveRecurrent:
-              ++summary.stable;
-              break;
-            case Stability::kTransient:
-              ++summary.transient;
-              break;
-            case Stability::kBorderline:
-              ++summary.borderline;
-              break;
-          }
+        for (const std::size_t complete = prefix_items / replicas;
+             emitted < complete; ++emitted) {
+          UnitSlot<Result>& slot = slots[emitted & slot_mask];
+          ++tally[Unit::bin(slot.result)];
           if (writer != nullptr) {
             writer->write_rendered(slot.arena, 1);
           } else {
@@ -676,6 +596,74 @@ SweepSummary sweep_cells_ordered(const SweepGrid& grid,
           }
         }
       });
+  return tally;
+}
+
+/// Grid cells as driver units. A block walks its cells with an odometer
+/// cursor and a reused arrival buffer and opens each with cell_params +
+/// fill_cell: nothing allocates per cell in the theory-only path.
+struct GridUnit {
+  using Result = CellResult;
+  static constexpr Stream kSimStream = kStreamCellSim;
+  static constexpr Stream kAggStream = kStreamCellAgg;
+
+  const SweepGrid& effective;
+  const SweepOptions& options;
+  AxisSlots slots;
+  std::optional<GridRenderPlan> plan;  // empty without a writer
+
+  struct Block {
+    const GridUnit& unit;
+    CellCursor cursor;
+    std::vector<ArrivalSpec> arrivals;
+
+    Block(const GridUnit& grid, std::size_t first_cell)
+        : unit(grid), cursor(grid.effective) {
+      cursor.seek(first_cell);
+    }
+    OpenedUnit open(CellResult& out, std::size_t cell, bool fill) {
+      const CellParams p = cell_params(unit.slots, cursor.values(),
+                                       unit.options.scenario.policy);
+      if (fill) fill_cell(out, cell, p, unit.options, arrivals);
+      return {p, !unit.options.theory_only};
+    }
+    void render(const CellResult& c, std::string& arena) const {
+      render_grid_row(*unit.plan, unit.options, cursor.digits(), c, arena);
+    }
+    void advance() { cursor.advance(); }
+  };
+
+  static SimAggregate& sim(CellResult& c) { return c.sim; }
+  static std::size_t bin(const CellResult& c) {
+    return static_cast<std::size_t>(c.theory.verdict);
+  }
+};
+
+/// run_sweep / run_sweep_stream: exactly one of `sink` / `writer` is
+/// non-null (see run_ordered).
+SweepSummary sweep_grid(const SweepGrid& grid, const SweepOptions& options,
+                        const std::function<void(CellResult&&)>* sink,
+                        ReportWriter* writer) {
+  const SweepGrid effective = validated_effective_grid(grid, options);
+  // Every worker reads the unit's axis slots and render plan once per
+  // cell. Kept on this thread's stack they cost the 4-thread 1e6-cell
+  // theory sweep 6-7% more CPU time on a 4-core x86 box (alternating
+  // runs against a heap-held unit), so the unit lives on the heap.
+  const auto unit = std::make_unique<GridUnit>(
+      GridUnit{effective, options, resolve_axis_slots(effective), {}});
+  if (writer != nullptr) {
+    unit->plan.emplace(
+        make_grid_render_plan(effective, unit->slots, options, *writer));
+  }
+  // Theory-only sweeps run one closed-form item per cell: fanning unused
+  // replica slots would just multiply claim traffic.
+  const std::size_t replicas =
+      options.theory_only ? 1 : static_cast<std::size_t>(options.replicas);
+  SweepSummary summary;
+  summary.cells = effective.num_cells();
+  store_verdict_tally(
+      run_ordered(*unit, summary.cells, replicas, options, sink, writer),
+      summary);
   return summary;
 }
 
@@ -813,7 +801,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   const std::function<void(CellResult&&)> sink = [&](CellResult&& cell) {
     result.cells.push_back(std::move(cell));
   };
-  sweep_cells_ordered(grid, options, &sink, nullptr);
+  sweep_grid(grid, options, &sink, nullptr);
   result.grid = effective_grid(grid);
   return result;
 }
@@ -824,7 +812,7 @@ SweepSummary run_sweep_stream(const SweepGrid& grid,
   P2P_ASSERT_MSG(writer.columns() == sweep_columns(options),
                  "run_sweep_stream writer must be built with "
                  "sweep_columns(options)");
-  return sweep_cells_ordered(grid, options, nullptr, &writer);
+  return sweep_grid(grid, options, nullptr, &writer);
 }
 
 namespace {
@@ -976,10 +964,6 @@ std::string typecount_domain_violation(const SweepGrid& grid,
   return {};
 }
 
-std::string typecount_domain_violation(const SweepGrid& grid) {
-  return typecount_domain_violation(grid, ScenarioSpec{});
-}
-
 std::vector<std::string> sweep_row(const CellResult& c,
                                    const SweepOptions& options) {
   const ScenarioSpec& scenario = options.scenario;
@@ -1053,19 +1037,17 @@ namespace {
 /// values for the first adjacent verdict change, then halve the bracket
 /// until it is at most `tol` wide. No simulation runs here — Theorem 1
 /// is a formula — which is what lets refinement localize the boundary
-/// ~10 bisections deep for the price of one coarse cell.
-FrontierPoint bisect_row(const SweepGrid& rows, std::size_t row,
-                         const Axis& refined, const RefineOptions& refine,
+/// ~10 bisections deep for the price of one coarse cell. `slots` index
+/// the row's axis values with the refined axis appended last.
+FrontierPoint bisect_row(const SweepGrid& rows, const AxisSlots& slots,
+                         std::size_t row, const Axis& refined,
+                         const RefineOptions& refine,
                          const ScenarioSpec& scenario) {
-  std::vector<Axis> axes = rows.axes;
-  axes.push_back(Axis{refined.name, {}});
   std::vector<double> values = rows.cell_values(row);
   values.push_back(0);
   const auto params_at = [&](double v) {
     values.back() = v;
-    CellParams p = extract_params(axes, values);
-    p.policy = scenario.policy;
-    return p;
+    return cell_params(slots, values, scenario.policy);
   };
   const auto verdict_at = [&](double v) {
     return classify(expand(scenario, params_at(v)).params).verdict;
@@ -1115,14 +1097,6 @@ FrontierPoint bisect_row(const SweepGrid& rows, std::size_t row,
   return pt;
 }
 
-/// One ring slot of in-flight frontier state; see CellSlot for the
-/// `pending` countdown, re-arm protocol and alignment.
-struct alignas(64) FrontierSlot {
-  FrontierPoint point;
-  std::string arena;
-  std::atomic<std::size_t> pending{0};
-};
-
 /// Renders one localized frontier point into `arena` on the worker that
 /// finished it. frontier_row is the only frontier serialiser; its cells
 /// go through Row::text, which emits exactly what write_row would.
@@ -1136,39 +1110,58 @@ void render_frontier_row(const RowRenderer& renderer,
   row.end();
 }
 
-/// The shared frontier pipeline behind refine_frontier and
-/// run_frontier_stream: validates, fans the (row, replica) items across
-/// the pool in chunk-sized blocks, and emits each localized point in
-/// row order as soon as every row before it is complete. Each block
-/// re-runs the closed-form bisection once per row it touches instead of
-/// publishing it across blocks: the bisection is a deterministic
-/// handful of classify() calls, cheap next to one replica simulation,
-/// and recomputing it keeps the live state a ring of O(chunk * threads)
-/// items with no cross-item synchronization. Unbracketed rows skip the
-/// simulation entirely. Seeds key on the row index, so adding an
-/// unbracketed row elsewhere in the grid never shifts another row's
-/// streams — and the emitted numbers match the retained-points emitter
-/// of PRs 2/3 bit-exactly.
-///
-/// Exactly one of `sink` / `writer` is non-null; with a writer the row
-/// bytes are rendered by the finishing worker, as in the grid pipeline.
-FrontierSummary frontier_points_ordered(
+/// Frontier rows as driver units. A block re-runs the closed-form
+/// bisection once per row it touches instead of publishing it across
+/// blocks: the bisection is a deterministic handful of classify() calls,
+/// cheap next to one replica simulation, and recomputing it keeps the
+/// live state a ring of O(chunk * threads) items with no cross-item
+/// synchronization. Unbracketed rows skip the simulation entirely.
+/// Seeds key on the row index, so adding an unbracketed row elsewhere in
+/// the grid never shifts another row's streams.
+struct FrontierUnit {
+  using Result = FrontierPoint;
+  static constexpr Stream kSimStream = kStreamFrontierSim;
+  static constexpr Stream kAggStream = kStreamFrontierAgg;
+
+  const SweepGrid& rows;
+  const AxisSlots& slots;
+  const Axis& refined;
+  const RefineOptions& refine;
+  const SweepOptions& options;
+  const RowRenderer* renderer;  // null without a writer
+
+  struct Block {
+    const FrontierUnit& unit;
+
+    Block(const FrontierUnit& frontier, std::size_t) : unit(frontier) {}
+    OpenedUnit open(FrontierPoint& out, std::size_t row, bool fill) const {
+      FrontierPoint pt = bisect_row(unit.rows, unit.slots, row, unit.refined,
+                                    unit.refine, unit.options.scenario);
+      const OpenedUnit opened{pt.params, pt.bracketed};
+      if (fill) out = std::move(pt);
+      return opened;
+    }
+    void render(const FrontierPoint& pt, std::string& arena) const {
+      render_frontier_row(*unit.renderer, pt, unit.refine, unit.options,
+                          arena);
+    }
+    void advance() {}
+  };
+
+  static SimAggregate& sim(FrontierPoint& pt) { return pt.sim; }
+  static std::size_t bin(const FrontierPoint& pt) {
+    return pt.bracketed ? 1 : 0;
+  }
+};
+
+/// refine_frontier / run_frontier_stream: exactly one of `sink` /
+/// `writer` is non-null (see run_ordered).
+FrontierSummary sweep_frontier(
     const SweepGrid& grid, const SweepOptions& options,
     const RefineOptions& refine,
     const std::function<void(FrontierPoint&&)>* sink, ReportWriter* writer,
     SweepGrid* effective_out = nullptr) {
-  P2P_ASSERT((sink != nullptr) != (writer != nullptr));
-  validate_caller_axes(grid);
-  validate_options(options);
-  const SweepGrid effective = effective_grid(grid);
-  validate_effective_axes(effective, options);
-  if (options.sim_backend == SimBackend::kTypeCount) {
-    // Same forced-backend guard as the grid pipeline: frontier points
-    // always simulate, so an out-of-domain row axis must abort up front.
-    const std::string violation =
-        typecount_domain_violation(effective, options.scenario);
-    P2P_ASSERT_MSG(violation.empty(), violation);
-  }
+  const SweepGrid effective = validated_effective_grid(grid, options);
   if (effective_out != nullptr) *effective_out = effective;
 
   P2P_ASSERT_MSG(refinable_axis(refine.axis),
@@ -1192,91 +1185,21 @@ FrontierSummary frontier_points_ordered(
   for (const auto& axis : effective.axes) {
     if (axis.name != refine.axis) rows.axes.push_back(axis);
   }
-  const std::size_t num_rows = rows.num_cells();
-  const std::size_t replicas = static_cast<std::size_t>(options.replicas);
-  P2P_ASSERT_MSG(num_rows <= SIZE_MAX / replicas,
-                 "frontier work item count overflows size_t");
-  const std::size_t num_items = num_rows * replicas;
-
-  const RingPlan plan = plan_rings(num_items, replicas, options);
-  std::vector<ReplicaSample> samples(plan.ring_items);
-  std::vector<FrontierSlot> slots(plan.block_ring);
-  if (replicas > 1) {
-    for (auto& slot : slots) {
-      slot.pending.store(replicas, std::memory_order_relaxed);
-    }
-  }
-
+  SweepGrid probe = rows;
+  probe.axes.push_back(Axis{refine.axis, {}});
+  const AxisSlots slots = resolve_axis_slots(probe);
   std::optional<RowRenderer> renderer;
   if (writer != nullptr) {
     renderer.emplace(writer->format(), writer->columns());
   }
 
   FrontierSummary summary;
-  summary.rows = num_rows;
-  std::size_t emitted = 0;
-
-  ThreadPool pool(options.threads);
-  pool.parallel_for_streaming_blocks(
-      num_items, plan.chunk, plan.window,
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t item = begin;
-        while (item < end) {
-          const std::size_t row = item / replicas;
-          const std::size_t row_end = std::min(end, (row + 1) * replicas);
-          FrontierSlot& slot = slots[row % slots.size()];
-          FrontierPoint pt =
-              bisect_row(rows, row, *refined, refine, options.scenario);
-          if (item % replicas == 0) slot.point = pt;
-          if (pt.bracketed) {
-            for (std::size_t it = item; it < row_end; ++it) {
-              samples[it % plan.ring_items] = simulate_replica(
-                  pt.params, options,
-                  derive_seed(options.base_seed, kStreamFrontierSim, row,
-                              it % replicas));
-            }
-          }
-          const std::size_t done = row_end - item;
-          const bool last =
-              replicas == 1 ||
-              slot.pending.fetch_sub(done, std::memory_order_acq_rel) == done;
-          if (last) {
-            if (pt.bracketed) {
-              Rng agg_rng(derive_seed(options.base_seed, kStreamFrontierAgg,
-                                      row, 0));
-              slot.point.sim = aggregate_samples(
-                  std::span<const ReplicaSample>(
-                      samples.data() + (row * replicas) % plan.ring_items,
-                      replicas),
-                  options, agg_rng);
-              pt.sim = slot.point.sim;
-            }
-            if (renderer) {
-              slot.arena.clear();
-              render_frontier_row(*renderer, pt, refine, options, slot.arena);
-            }
-          }
-          item = row_end;
-        }
-      },
-      [&](std::size_t prefix_items) {
-        // The consumer runs serially on the calling thread in row order;
-        // with a writer it only tallies brackets and concatenates the
-        // pre-rendered spans.
-        const std::size_t complete_rows = prefix_items / replicas;
-        for (; emitted < complete_rows; ++emitted) {
-          FrontierSlot& slot = slots[emitted % slots.size()];
-          if (slot.point.bracketed) ++summary.bracketed;
-          if (writer != nullptr) {
-            writer->write_rendered(slot.arena, 1);
-          } else {
-            (*sink)(std::move(slot.point));
-          }
-          if (replicas > 1) {
-            slot.pending.store(replicas, std::memory_order_relaxed);
-          }
-        }
-      });
+  summary.rows = rows.num_cells();
+  summary.bracketed =
+      run_ordered(FrontierUnit{rows, slots, *refined, refine, options,
+                               renderer ? &*renderer : nullptr},
+                  summary.rows, static_cast<std::size_t>(options.replicas),
+                  options, sink, writer)[1];
   return summary;
 }
 
@@ -1291,8 +1214,7 @@ FrontierResult refine_frontier(const SweepGrid& grid,
   const std::function<void(FrontierPoint&&)> sink = [&](FrontierPoint&& pt) {
     result.points.push_back(std::move(pt));
   };
-  frontier_points_ordered(grid, options, refine, &sink, nullptr,
-                          &result.grid);
+  sweep_frontier(grid, options, refine, &sink, nullptr, &result.grid);
   return result;
 }
 
@@ -1303,7 +1225,7 @@ FrontierSummary run_frontier_stream(const SweepGrid& grid,
   P2P_ASSERT_MSG(writer.columns() == frontier_columns(options),
                  "run_frontier_stream writer must be built with "
                  "frontier_columns(options)");
-  return frontier_points_ordered(grid, options, refine, nullptr, &writer);
+  return sweep_frontier(grid, options, refine, nullptr, &writer);
 }
 
 std::vector<std::string> frontier_columns(const SweepOptions& options) {

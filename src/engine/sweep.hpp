@@ -28,11 +28,13 @@
 // index order as their prefix completes, so the emitted report is
 // byte-identical for any --threads and any chunk size.
 //
-// Two entry points share one pipeline: run_sweep retains every
-// CellResult (tests, small grids); run_sweep_stream hands each finished
-// cell's row straight to a streaming ReportWriter and keeps only a
-// bounded ring of in-flight results — peak memory O(chunk * threads),
-// not O(num_cells) — with output byte-identical to run_sweep's table.
+// One ordered-completion driver serves grid and frontier runs alike (a
+// grid cell and a frontier row are both a unit of it): run_sweep and
+// refine_frontier retain every result (tests, small grids);
+// run_sweep_stream and run_frontier_stream hand each finished unit's
+// row straight to a streaming ReportWriter and keep only a bounded ring
+// of in-flight results — peak memory O(chunk * threads), not
+// O(num_units) — with output byte-identical to the retained table.
 //
 // Boundary refinement (refine_frontier) localizes the Theorem-1 phase
 // boundary instead of rasterizing it: per combination of the non-refined
@@ -180,8 +182,7 @@ SweepGrid parse_grid(const std::string& spec);
 /// validation and p2p_sweep's friendly pre-flight error, so the two
 /// never disagree on the domain.
 std::string typecount_domain_violation(const SweepGrid& grid,
-                                       const ScenarioSpec& scenario);
-std::string typecount_domain_violation(const SweepGrid& grid);
+                                       const ScenarioSpec& scenario = {});
 
 /// The standard Theorem-1 region grid: lambda 0.5:3.0:16 crossed with
 /// us 0.2:1.7:16 (256 cells) at mu = 1, gamma = 1.25, K = 3, eta = 1,

@@ -6,7 +6,9 @@
 // different experiment).
 #pragma once
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -57,6 +59,34 @@ class Flags {
       fail("flag --" + name + " expects an integer, got '" + *token + "'");
     }
     return static_cast<int>(v);
+  }
+
+  /// Unsigned 64-bit flag (RNG seeds): plain decimal digits over the
+  /// whole [0, 2^64 - 1] range, parsed exactly rather than through a
+  /// double. A negative or too-large value is an out-of-range error
+  /// echoing the token; it never wraps.
+  std::uint64_t get_uint64(const std::string& name, std::uint64_t fallback,
+                           const std::string& help) {
+    const std::string* token = take(name, std::to_string(fallback), help);
+    if (token == nullptr) return fallback;
+    const bool negative = token->size() > 1 && (*token)[0] == '-';
+    const std::size_t first = negative ? 1 : 0;
+    const bool digits =
+        token->size() > first &&
+        token->find_first_not_of("0123456789", first) == std::string::npos;
+    if (!digits) {
+      fail("flag --" + name + " expects an unsigned integer, got '" + *token +
+           "'");
+    }
+    std::uint64_t v = 0;
+    const auto res =
+        std::from_chars(token->data(), token->data() + token->size(), v);
+    if (negative || res.ec != std::errc()) {
+      fail("flag --" + name + " is out of range [0, " +
+           std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+           "], got '" + *token + "'");
+    }
+    return v;
   }
 
   std::string get_string(const std::string& name, const std::string& fallback,

@@ -381,6 +381,25 @@ TEST(RunAdaptiveStreamDeath, NonRefinableVaryingAxisAborts) {
   writer.finish();
 }
 
+TEST(RunAdaptiveStreamDeath, ForcedTypeCountOutsideItsDomainAborts) {
+  // Same forced-backend guard as the grid and frontier: eta = 2 is
+  // per-peer state, so a forced type-count run must abort naming the
+  // axis instead of emitting rows simulated under a different law.
+  const SweepGrid grid = parse_grid("lambda=0.5:3.0:3;us=0.2:1.7:3;eta=2");
+  SweepOptions options;
+  options.replicas = 2;
+  options.horizon = 10;
+  options.sim_backend = SimBackend::kTypeCount;
+  AdaptiveOptions adaptive;
+  adaptive.max_depth = 1;
+  std::string out;
+  ReportWriter writer(&out, ReportFormat::kCsv,
+                      adaptive_columns(grid, options));
+  EXPECT_DEATH(run_adaptive_stream(grid, options, adaptive, writer),
+               "axis eta takes the value 2");
+  writer.finish();
+}
+
 // Corrupt-archive deaths: every abort names the offending row, so a
 // truncated or hand-edited archive is debuggable from the message.
 

@@ -452,6 +452,46 @@ TEST(Corpus, ArchivedReportsRegenerateByteIdentically) {
       EXPECT_EQ(out, archived) << "threads " << threads;
     }
   }
+  // The two frontier archives:
+  //   p2p_sweep --mix example2:3,1
+  //     --grid "us=1;mu=1;gamma=inf;lambda=1.2:3.0:7;mix=0:1:5"
+  //     --refine mix:0.001 --replicas 8 --warmup 100 --horizon 400
+  //   p2p_sweep --mix oneclub:4
+  //     --grid "us=1;mu=1;gamma=1.25;mix=0,0.5,1;lambda=1:9:5"
+  //     --refine lambda:0.001 --replicas 8 --warmup 100 --horizon 400
+  struct FrontierArchive {
+    const char* file;
+    const char* mix;
+    const char* grid;
+    const char* refine;
+  };
+  for (const FrontierArchive& a :
+       {FrontierArchive{"/mix_example2_frontier.csv", "example2:3,1",
+                        "us=1;mu=1;gamma=inf;lambda=1.2:3.0:7;mix=0:1:5",
+                        "mix:0.001"},
+        FrontierArchive{"/mix_oneclub_frontier.csv", "oneclub:4",
+                        "us=1;mu=1;gamma=1.25;mix=0,0.5,1;lambda=1:9:5",
+                        "lambda:0.001"}}) {
+    SweepGrid grid = parse_grid(a.grid);
+    SweepOptions options;
+    options.scenario = parse_scenario(a.mix);
+    grid.set_axis(
+        Axis{"k", {static_cast<double>(options.scenario.num_pieces)}});
+    options.replicas = 8;
+    options.warmup = 100;
+    options.horizon = 400;
+    const RefineOptions refine = parse_refine(a.refine);
+    const std::string archived = file_bytes(dir + a.file);
+    for (const int threads : {1, 4}) {
+      options.threads = threads;
+      std::string out;
+      ReportWriter writer(&out, ReportFormat::kCsv,
+                          frontier_columns(options));
+      run_frontier_stream(grid, options, refine, writer);
+      writer.finish();
+      EXPECT_EQ(out, archived) << a.file << " threads " << threads;
+    }
+  }
 }
 
 TEST(Corpus, RegionGridReproducesItsArchivedFrontier) {

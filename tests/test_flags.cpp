@@ -113,6 +113,46 @@ TEST(FlagsDeath, OutOfIntRangeFlagAborts) {
       "expects an integer");
 }
 
+TEST(Flags, Uint64SpansTheFullSeedRange) {
+  // Seeds past the int range are legal: base_seed is a uint64_t.
+  Flags f = make({"--seed", "3000000000", "--top=18446744073709551615"});
+  EXPECT_EQ(f.get_uint64("seed", 1, ""), 3000000000ULL);
+  EXPECT_EQ(f.get_uint64("top", 1, ""), 18446744073709551615ULL);
+  EXPECT_EQ(f.get_uint64("absent", 7, ""), 7u);
+  f.finish();
+}
+
+TEST(FlagsDeath, NegativeUint64IsOutOfRangeEchoingTheToken) {
+  // Must not wrap to 2^64 - 1.
+  EXPECT_DEATH(
+      {
+        Flags f = make({"--seed", "-1"});
+        f.get_uint64("seed", 1, "");
+      },
+      "flag --seed is out of range .*got '-1'");
+}
+
+TEST(FlagsDeath, Uint64OverflowIsOutOfRange) {
+  EXPECT_DEATH(
+      {
+        Flags f = make({"--seed=18446744073709551616"});
+        f.get_uint64("seed", 1, "");
+      },
+      "out of range .*got '18446744073709551616'");
+}
+
+TEST(FlagsDeath, NonDigitUint64Aborts) {
+  for (const char* token : {"2.5", "1e3", "abc", "+4", "-"}) {
+    EXPECT_DEATH(
+        {
+          Flags f = make({"--seed", token});
+          f.get_uint64("seed", 1, "");
+        },
+        "expects an unsigned integer")
+        << token;
+  }
+}
+
 TEST(FlagsDeath, DuplicateFlagAborts) {
   EXPECT_DEATH(make({"--k=1", "--k=2"}), "more than once");
 }

@@ -26,33 +26,40 @@ std::string stream_frontier(const SweepGrid& grid, const SweepOptions& options,
 
 TEST(FrontierStream, BytesEqualInMemoryEmitterAcrossThreadsAndChunks) {
   // The satellite determinism matrix: threads {1, 2, 8} x chunk
-  // {1, auto}, streamed bytes vs the retained-points emitter, both
-  // formats.
+  // {1, 7, auto}, streamed bytes vs the retained-points emitter, both
+  // formats. Three replicas per row take the replica-slot path, and
+  // chunk 7 makes blocks start mid-row; one replica per row takes the
+  // chunk-batched path (a whole block rendered into one span).
   SweepGrid grid =
       parse_grid("k=1;us=0.4,0.8,1.2;mu=1;gamma=1.25;lambda=0.5:9.5:4");
-  SweepOptions base;
-  base.horizon = 25;
-  base.replicas = 3;
   RefineOptions refine;
   refine.axis = "lambda";
   refine.tol = 1e-2;
 
-  const Table table = refine_frontier(grid, base, refine).to_table();
-  const std::string want_csv = table.to_csv();
-  const std::string want_json = table.to_json();
-  ASSERT_GT(table.num_rows(), 0u);
+  for (const int replicas : {3, 1}) {
+    SweepOptions base;
+    base.horizon = 25;
+    base.replicas = replicas;
+    const Table table = refine_frontier(grid, base, refine).to_table();
+    const std::string want_csv = table.to_csv();
+    const std::string want_json = table.to_json();
+    ASSERT_GT(table.num_rows(), 0u);
 
-  for (const int threads : {1, 2, 8}) {
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-      SweepOptions options = base;
-      options.threads = threads;
-      options.chunk = chunk;
-      EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kCsv),
-                want_csv)
-          << "threads " << threads << " chunk " << chunk;
-      EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kJson),
-                want_json)
-          << "threads " << threads << " chunk " << chunk;
+    for (const int threads : {1, 2, 8}) {
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+        SweepOptions options = base;
+        options.threads = threads;
+        options.chunk = chunk;
+        EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kCsv),
+                  want_csv)
+            << "replicas " << replicas << " threads " << threads
+            << " chunk " << chunk;
+        EXPECT_EQ(stream_frontier(grid, options, refine, ReportFormat::kJson),
+                  want_json)
+            << "replicas " << replicas << " threads " << threads
+            << " chunk " << chunk;
+      }
     }
   }
 }

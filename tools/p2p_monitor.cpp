@@ -90,7 +90,7 @@ void write_all(std::FILE* f, const std::string& bytes,
 
 int run_emit(const std::string& emit_spec, int k, double us, double mu,
              const std::string& gamma_spec, const std::string& mix_spec,
-             const std::string& backend_spec, int seed,
+             const std::string& backend_spec, std::uint64_t seed,
              const std::string& format, const std::string& out_path) {
   P2P_ASSERT_MSG(format == "csv" || format == "jsonl",
                  "--format must be csv or jsonl (got \"" + format + "\")");
@@ -120,7 +120,7 @@ int run_emit(const std::string& emit_spec, int k, double us, double mu,
   }
 
   EventLogOptions options;
-  options.seed = static_cast<std::uint64_t>(seed);
+  options.seed = seed;
   if (backend_spec == "typecount") {
     options.backend = EventLogBackend::kTypeCount;
   } else if (backend_spec == "perpeer") {
@@ -240,7 +240,8 @@ int main(int argc, char** argv) {
       "example3[:w1,w2,w3] | oneclub:K; '' = empty-arrival stream)");
   const std::string backend_spec = flags.get_string(
       "backend", "typecount", "emit mode: typecount | perpeer");
-  const int seed = flags.get_int("seed", 1, "emit mode: root RNG seed");
+  const std::uint64_t seed =
+      flags.get_uint64("seed", 1, "emit mode: root RNG seed");
   const std::string format = flags.get_string(
       "format", "csv", "emit mode: event log format, csv | jsonl");
   flags.finish();

@@ -273,7 +273,8 @@ int main(int argc, char** argv) {
       "confidence", 0.95, "confidence level of the agreement bootstrap CI");
   const int resamples =
       flags.get_int("resamples", 256, "agreement bootstrap resamples");
-  const int seed = flags.get_int("seed", 1, "agreement bootstrap seed");
+  const std::uint64_t seed =
+      flags.get_uint64("seed", 1, "agreement bootstrap seed");
   const std::string ppm_out = flags.get_string(
       "ppm", "", "write the phase diagram as binary PPM (P6) here");
   const std::string svg_out =
@@ -384,8 +385,7 @@ int main(int argc, char** argv) {
   const std::vector<PhaseFrontierPoint> frontier =
       extract_frontier(grid, tol, threads);
   const VerdictAgreement agreement = verdict_agreement(
-      grid, sim_threshold, confidence, resamples,
-      static_cast<std::uint64_t>(seed));
+      grid, sim_threshold, confidence, resamples, seed);
 
   RenderOptions render;
   render.cell_px = cell_px;

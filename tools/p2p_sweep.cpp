@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       flags.get_double("horizon", 400.0, "simulated time per replica");
   const double warmup = flags.get_double(
       "warmup", 0.0, "simulated time discarded from time averages");
-  const int seed = flags.get_int("seed", 1, "root RNG seed");
+  const std::uint64_t seed = flags.get_uint64("seed", 1, "root RNG seed");
   const int replicas = flags.get_int(
       "replicas", 1, "independent SwarmSim replicas per cell");
   const double confidence = flags.get_double(
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
   }
   options.horizon = horizon;
   options.warmup = warmup;
-  options.base_seed = static_cast<std::uint64_t>(seed);
+  options.base_seed = seed;
   options.replicas = replicas;
   options.confidence = confidence;
   options.chunk = static_cast<std::size_t>(chunk_flag);
