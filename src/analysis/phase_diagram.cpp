@@ -1,10 +1,11 @@
 #include "analysis/phase_diagram.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "engine/csv_reader.hpp"
 #include "engine/sweep.hpp"
@@ -71,13 +72,20 @@ void set_refinable(CellParams& p, const std::string& name, double v) {
   }
 }
 
-Stability parse_verdict(const std::string& cell, const std::string& context) {
-  for (const Stability v : {Stability::kPositiveRecurrent,
-                            Stability::kTransient, Stability::kBorderline}) {
-    if (cell == to_string(v)) return v;
+/// The verdict `cell` spells, or nullopt when it is not a verdict token.
+std::optional<Stability> match_verdict(std::string_view cell) {
+  static constexpr Stability kVerdicts[] = {Stability::kPositiveRecurrent,
+                                            Stability::kTransient,
+                                            Stability::kBorderline};
+  // Spelled once: to_string builds a std::string per call, which
+  // per-row matching cannot afford.
+  static const std::string kTokens[] = {to_string(kVerdicts[0]),
+                                        to_string(kVerdicts[1]),
+                                        to_string(kVerdicts[2])};
+  for (int i = 0; i < 3; ++i) {
+    if (cell == kTokens[i]) return kVerdicts[i];
   }
-  P2P_ASSERT_MSG(false, "unknown verdict \"" + cell + "\" in " + context);
-  return Stability::kBorderline;
+  return std::nullopt;
 }
 
 /// Exact-match value -> first-appearance index, tolerating +-0.0
@@ -86,14 +94,20 @@ Stability parse_verdict(const std::string& cell, const std::string& context) {
 /// value".
 class ValueIndex {
  public:
-  /// Returns the value's index, inserting it if new.
-  std::size_t insert(double v) {
+  /// Returns the value's index, inserting it if new. Engine-emitted
+  /// grids walk every axis in order — a slow axis repeats its previous
+  /// value, a fast one steps to the next (or wraps to the first) — so
+  /// those candidates are checked before hashing.
+  std::size_t index(double v) {
+    if (!values_.empty()) {
+      if (values_[last_] == v) return last_;
+      const std::size_t next = last_ + 1 == values_.size() ? 0 : last_ + 1;
+      if (values_[next] == v) return last_ = next;
+    }
     const auto [it, inserted] = map_.try_emplace(key(v), values_.size());
     if (inserted) values_.push_back(v);
-    return it->second;
+    return last_ = it->second;
   }
-  /// Index of an already-inserted value.
-  std::size_t at(double v) const { return map_.at(key(v)); }
   std::size_t size() const { return values_.size(); }
   const std::vector<double>& values() const { return values_; }
 
@@ -101,6 +115,7 @@ class ValueIndex {
   static double key(double v) { return v == 0 ? 0.0 : v; }
   std::unordered_map<double, std::size_t> map_;
   std::vector<double> values_;
+  std::size_t last_ = 0;  // index the previous call returned
 };
 
 /// a == b up to fp noise from reconstructing products out of their
@@ -109,22 +124,102 @@ bool close(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
+/// "grid report row N": the row every ingestion abort names. Built only
+/// on the failure path — never per row.
+std::string row_context(const char* report, std::size_t r) {
+  return std::string(report) + " report row " + std::to_string(r);
+}
+
+/// One ingested row's cells, viewed in place (the reader's buffer or a
+/// Table's strings), with the row's abort context.
+struct RowView {
+  const std::vector<std::string_view>& cells;
+  const char* report;  // "grid" or "adaptive"
+  std::size_t r;
+
+  std::string ctx() const { return row_context(report, r); }
+  double num(std::size_t col) const {
+    double v = 0;
+    if (!engine::try_parse_report_number(cells[col], &v)) {
+      engine::parse_report_number(cells[col], ctx());  // aborts
+    }
+    return v;
+  }
+  Stability verdict(std::size_t col) const {
+    const std::optional<Stability> v = match_verdict(cells[col]);
+    P2P_ASSERT_MSG(v.has_value(), "unknown verdict \"" +
+                                      std::string(cells[col]) + "\" in " +
+                                      ctx());
+    return *v;
+  }
+  /// The cell index must equal the row number: reports enumerate their
+  /// cells 0..n-1 in row order.
+  void check_index() const {
+    P2P_ASSERT_MSG(num(0) == static_cast<double>(r),
+                   std::string(report) +
+                       " report cell indices must run 0..n-1 in row "
+                       "order (" +
+                       ctx() + " has cell " + std::string(cells[0]) + ")");
+  }
+};
+
+/// Parses the model-axis columns (1..9, the grid head after the cell
+/// index) that every grid-family row carries. k and flash come back
+/// raw too, for the callers that validate their integrality.
+engine::CellParams parse_axes(const RowView& row, double* k_raw,
+                              double* flash_raw) {
+  CellParams p;
+  p.lambda = row.num(1);
+  p.us = row.num(2);
+  p.mu = row.num(3);
+  p.gamma = row.num(4);
+  *k_raw = row.num(5);
+  p.k = static_cast<int>(std::lround(*k_raw));
+  p.eta = row.num(6);
+  *flash_raw = row.num(7);
+  p.flash = std::llround(*flash_raw);
+  p.mix = row.num(8);
+  p.hetero = row.num(9);
+  return p;
+}
+
+/// A Table's rows as views over its own strings: the in-memory twin of
+/// CsvReader's view-row API, so both build paths share one template
+/// and neither copies a row.
+class TableRowViews {
+ public:
+  explicit TableRowViews(const Table& table) : table_(table) {}
+  const std::vector<std::string>& columns() const { return table_.columns(); }
+  bool next_row_views(std::vector<std::string_view>* cells) {
+    if (next_ >= table_.num_rows()) return false;
+    const std::vector<std::string>& row = table_.row(next_++);
+    cells->assign(row.begin(), row.end());
+    return true;
+  }
+
+ private:
+  const Table& table_;
+  std::size_t next_ = 0;
+};
+
 /// Shared ingestion core behind both build_phase_grid overloads: one
-/// pass over the rows pumped by `next_row` (an in-memory Table or the
-/// streaming CsvReader), retaining O(cells) typed state — never the
-/// document. The per-type block is kept as doubles for the post-pass
-/// scenario reconstruction, so rows are not revisited.
-PhaseGrid build_phase_grid_rows(
-    const std::vector<std::string>& columns,
-    const std::function<bool(std::vector<std::string>*)>& next_row,
-    const std::string& x_req, const std::string& y_req) {
-  const ReportSchema schema = engine::validate_report_schema(columns);
+/// pass over the view rows of `rows` (a TableRowViews or the streaming
+/// CsvReader), retaining O(cells) typed state — never the document.
+/// Cells land in grid.cells once, in row order, and are tiled into
+/// place by an in-place permutation. The per-type block is kept as
+/// doubles for the post-pass scenario reconstruction, so rows are not
+/// revisited.
+template <typename Rows>
+PhaseGrid build_phase_grid_rows(Rows& rows, const std::string& x_req,
+                                const std::string& y_req) {
+  const ReportSchema schema = engine::validate_report_schema(rows.columns());
   P2P_ASSERT_MSG(schema.kind == ReportKind::kGrid,
                  "phase grids are built from grid reports, not frontier "
                  "tables (header starts with \"row\")");
 
   // --- Typed ingestion, one streaming pass ---
-  std::vector<PhaseCell> parsed;
+  PhaseGrid grid;
+  std::vector<PhaseCell>& cells = grid.cells;
   std::vector<ValueIndex> axis_values(kNumAxes);
   const std::size_t tail = schema.tail_start;
   const std::size_t block = engine::sweep_schema_head().size();
@@ -140,88 +235,77 @@ PhaseGrid build_phase_grid_rows(
   std::string policy;
   // Row-major per-type block copies (lambda_empty first), when present.
   std::vector<double> type_cols;
-  std::vector<std::string> row;
-  for (std::size_t r = 0; next_row(&row); ++r) {
-    const std::string ctx = "grid report row " + std::to_string(r);
-    const auto num = [&](std::size_t col) {
-      return engine::parse_report_number(row[col], ctx);
-    };
-
-    P2P_ASSERT_MSG(num(0) == static_cast<double>(r),
-                   "grid report cell indices must run 0..n-1 in row order "
-                   "(" + ctx + " has cell " + row[0] + ")");
+  std::vector<std::string_view> cols;
+  for (std::size_t r = 0; rows.next_row_views(&cols); ++r) {
+    const RowView row{cols, "grid", r};
+    row.check_index();
     PhaseCell c;
-    c.params.lambda = num(1);
-    c.params.us = num(2);
-    c.params.mu = num(3);
-    c.params.gamma = num(4);
-    const double k_raw = num(5);
-    c.params.k = static_cast<int>(std::lround(k_raw));
-    c.params.eta = num(6);
-    const double flash_raw = num(7);
-    c.params.flash = std::llround(flash_raw);
-    c.params.mix = num(8);
-    c.params.hetero = num(9);
+    double k_raw = 0, flash_raw = 0;
+    c.params = parse_axes(row, &k_raw, &flash_raw);
 
     P2P_ASSERT_MSG(std::isfinite(c.params.lambda) && c.params.lambda > 0,
-                   "lambda must be a positive finite number (" + ctx + ")");
+                   "lambda must be a positive finite number (" + row.ctx() +
+                       ")");
     P2P_ASSERT_MSG(std::isfinite(c.params.us) && c.params.us >= 0,
-                   "us must be a nonnegative finite number (" + ctx + ")");
+                   "us must be a nonnegative finite number (" + row.ctx() +
+                       ")");
     P2P_ASSERT_MSG(std::isfinite(c.params.mu) && c.params.mu > 0,
-                   "mu must be a positive finite number (" + ctx + ")");
+                   "mu must be a positive finite number (" + row.ctx() + ")");
     P2P_ASSERT_MSG(c.params.gamma > 0,  // inf allowed
-                   "gamma must be positive (" + ctx + ")");
+                   "gamma must be positive (" + row.ctx() + ")");
     P2P_ASSERT_MSG(c.params.k >= 1 && std::abs(k_raw - c.params.k) < 1e-9,
-                   "k must be a positive integer (" + ctx + ")");
+                   "k must be a positive integer (" + row.ctx() + ")");
     P2P_ASSERT_MSG(std::isfinite(c.params.eta) && c.params.eta >= 1,
-                   "eta must be >= 1 (" + ctx + ")");
+                   "eta must be >= 1 (" + row.ctx() + ")");
     P2P_ASSERT_MSG(
         c.params.flash >= 0 &&
             std::abs(flash_raw - static_cast<double>(c.params.flash)) < 1e-9,
-        "flash must be a nonnegative integer (" + ctx + ")");
+        "flash must be a nonnegative integer (" + row.ctx() + ")");
     P2P_ASSERT_MSG(c.params.mix >= 0 && c.params.mix <= 1,
-                   "mix must lie in [0, 1] (" + ctx + ")");
+                   "mix must lie in [0, 1] (" + row.ctx() + ")");
     P2P_ASSERT_MSG(c.params.hetero >= 0 && c.params.hetero < 1,
-                   "hetero must lie in [0, 1) (" + ctx + ")");
+                   "hetero must lie in [0, 1) (" + row.ctx() + ")");
 
-    c.verdict = parse_verdict(row[tail], ctx);
-    c.margin = num(tail + 1);
-    const double replicas_raw = num(tail + 3);
+    c.verdict = row.verdict(tail);
+    c.margin = row.num(tail + 1);
+    const double replicas_raw = row.num(tail + 3);
     c.replicas = static_cast<int>(std::lround(replicas_raw));
     P2P_ASSERT_MSG(c.replicas >= 0 &&
                        std::abs(replicas_raw - c.replicas) < 1e-9,
-                   "replicas must be a nonnegative integer (" + ctx + ")");
-    c.sim_mean_peers = num(tail + 5);
-    c.ctmc_mean_peers = num(tail + 10);
+                   "replicas must be a nonnegative integer (" + row.ctx() +
+                       ")");
+    c.sim_mean_peers = row.num(tail + 5);
+    c.ctmc_mean_peers = row.num(tail + 10);
     if (schema.has_policy) {
       // The policy is a sweep-level constant, so every row must repeat
       // one token — and it must be a token the writer can emit.
-      const std::string& tok = row[policy_col];
+      const std::string_view tok = cols[policy_col];
       if (r == 0) {
         const std::optional<PolicyKind> kind = parse_policy(tok);
         P2P_ASSERT_MSG(kind && tok == to_string(*kind),
-                       "unknown policy \"" + tok + "\" in " + ctx);
+                       "unknown policy \"" + std::string(tok) + "\" in " +
+                           row.ctx());
         policy = tok;
       } else {
         P2P_ASSERT_MSG(tok == policy,
                        "the policy column must be constant over the grid "
-                       "(" + ctx + " has \"" + tok + "\", row 0 had \"" +
-                           policy + "\")");
+                       "(" + row.ctx() + " has \"" + std::string(tok) +
+                           "\", row 0 had \"" + policy + "\")");
       }
     }
-    if (schema.has_fluid) c.fluid = parse_verdict(row[fluid_col], ctx);
+    if (schema.has_fluid) c.fluid = row.verdict(fluid_col);
 
     if (schema.has_scenario) {
       for (std::size_t i = 0; i < block_width; ++i) {
-        type_cols.push_back(num(block + i));
+        type_cols.push_back(row.num(block + i));
       }
     }
     for (std::size_t a = 0; a < kNumAxes; ++a) {
-      axis_values[a].insert(axis_value(c.params, a));
+      axis_values[a].index(axis_value(c.params, a));
     }
-    parsed.push_back(c);
+    cells.push_back(c);
   }
-  const std::size_t n = parsed.size();
+  const std::size_t n = cells.size();
   P2P_ASSERT_MSG(n >= 1, "grid report has no rows");
 
   // --- Axis selection ---
@@ -230,7 +314,6 @@ PhaseGrid build_phase_grid_rows(
     if (axis_values[a].size() > 1) varying.push_back(a);
   }
 
-  PhaseGrid grid;
   grid.policy = policy;
   grid.has_fluid = schema.has_fluid;
   std::size_t xi_axis = kNumAxes, yi_axis = kNumAxes;
@@ -275,39 +358,53 @@ PhaseGrid build_phase_grid_rows(
   grid.x_values = axis_values[xi_axis].values();
   grid.y_values = axis_values[yi_axis].values();
 
-  // --- Tile the cells into row-major [y][x] slots ---
+  // --- Map each row to its row-major [y][x] slot ---
   const std::size_t nx = grid.x_values.size();
   const std::size_t ny = grid.y_values.size();
   P2P_ASSERT_MSG(n == nx * ny,
                  "grid report rows (" + std::to_string(n) +
                      ") do not tile the " + std::to_string(nx) + " x " +
                      std::to_string(ny) + " (x, y) product");
-  grid.cells.resize(n);
-  std::vector<char> filled(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t xi = axis_values[xi_axis].at(
-        axis_value(parsed[r].params, xi_axis));
-    const std::size_t yi = axis_values[yi_axis].at(
-        axis_value(parsed[r].params, yi_axis));
-    const std::size_t slot = yi * nx + xi;
-    P2P_ASSERT_MSG(!filled[slot],
-                   "grid report repeats the cell at (" + grid.x_axis + " = " +
-                       engine::format_number(grid.x_values[xi]) + ", " +
-                       grid.y_axis + " = " +
-                       engine::format_number(grid.y_values[yi]) + ")");
-    filled[slot] = 1;
-    grid.cells[slot] = parsed[r];
+  const auto slot_of = [&](const PhaseCell& c, std::size_t* xi,
+                           std::size_t* yi) {
+    *xi = axis_values[xi_axis].index(axis_value(c.params, xi_axis));
+    *yi = axis_values[yi_axis].index(axis_value(c.params, yi_axis));
+    return *yi * nx + *xi;
+  };
+  // Default axes on an engine-emitted corpus: every row already sits in
+  // its slot, and nothing more is stored. Otherwise record each row's
+  // slot (aborting on a repeat) for the permutation below.
+  std::size_t xi = 0, yi = 0;
+  std::size_t in_place = 0;
+  while (in_place < n && slot_of(cells[in_place], &xi, &yi) == in_place) {
+    ++in_place;
+  }
+  std::vector<std::size_t> slots;
+  if (in_place < n) {
+    slots.resize(n);
+    std::vector<char> filled(n, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t slot = slot_of(cells[r], &xi, &yi);
+      P2P_ASSERT_MSG(!filled[slot],
+                     "grid report repeats the cell at (" + grid.x_axis +
+                         " = " + engine::format_number(grid.x_values[xi]) +
+                         ", " + grid.y_axis + " = " +
+                         engine::format_number(grid.y_values[yi]) + ")");
+      filled[slot] = 1;
+      slots[r] = slot;
+    }
   }
   // n == nx * ny and no slot repeated => every slot is filled.
 
   // --- Scenario reconstruction from the per-type block ---
+  // (cells are still in row order here, like type_cols)
   if (schema.has_scenario) {
     // The composition is recoverable from any cell with a nonzero typed
     // share; take the largest for the cleanest division.
     std::size_t best = n;
     double best_ml = 0;
     for (std::size_t r = 0; r < n; ++r) {
-      const double ml = parsed[r].params.mix * parsed[r].params.lambda;
+      const double ml = cells[r].params.mix * cells[r].params.lambda;
       if (ml > best_ml) {
         best_ml = ml;
         best = r;
@@ -315,18 +412,19 @@ PhaseGrid build_phase_grid_rows(
     }
     std::vector<double> rates(schema.mix_types.size(), 0.0);
     if (best < n) {
-      const std::string ctx = "grid report row " + std::to_string(best);
       double total = 0;
       for (std::size_t i = 0; i < rates.size(); ++i) {
         rates[i] = type_cols[best * block_width + 1 + i] / best_ml;
         P2P_ASSERT_MSG(std::isfinite(rates[i]) && rates[i] >= 0,
-                       "per-type rates must be nonnegative (" + ctx + ")");
+                       "per-type rates must be nonnegative (" +
+                           row_context("grid", best) + ")");
         total += rates[i];
       }
       P2P_ASSERT_MSG(std::abs(total - 1) <= 1e-9,
                      "per-type columns divided by mix * lambda must be "
-                     "fractions summing to 1 (" + ctx + ")");
-      const int k = parsed[best].params.k;
+                     "fractions summing to 1 (" +
+                         row_context("grid", best) + ")");
+      const int k = cells[best].params.k;
       grid.scenario.name = "ingested";
       grid.scenario.num_pieces = k;
       for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -342,19 +440,30 @@ PhaseGrid build_phase_grid_rows(
     // is corrupt, and the re-bisection below would silently classify
     // the wrong model.
     for (std::size_t r = 0; r < n; ++r) {
-      const std::string ctx = "grid report row " + std::to_string(r);
-      const double lambda = parsed[r].params.lambda;
-      const double mix = parsed[r].params.mix;
+      const double lambda = cells[r].params.lambda;
+      const double mix = cells[r].params.mix;
       P2P_ASSERT_MSG(
           close(type_cols[r * block_width], (1 - mix) * lambda),
-          "lambda_empty contradicts (1 - mix) * lambda (" + ctx + ")");
+          "lambda_empty contradicts (1 - mix) * lambda (" +
+              row_context("grid", r) + ")");
       for (std::size_t i = 0; i < rates.size(); ++i) {
         P2P_ASSERT_MSG(
             close(type_cols[r * block_width + 1 + i],
                   mix * lambda * rates[i]),
             "per-type column " + engine::mix_column_name(schema.mix_types[i]) +
-                " contradicts mix * lambda * fraction (" + ctx + ")");
+                " contradicts mix * lambda * fraction (" +
+                row_context("grid", r) + ")");
       }
+    }
+  }
+
+  // --- Tile the cells into their slots, in place ---
+  // Each swap parks one cell in its final slot, so at most n swaps.
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    while (slots[r] != r) {
+      const std::size_t to = slots[r];
+      std::swap(cells[r], cells[to]);
+      std::swap(slots[r], slots[to]);
     }
   }
   return grid;
@@ -364,10 +473,9 @@ PhaseGrid build_phase_grid_rows(
 /// over the rows, retaining O(boxes) typed state. Geometry comes from
 /// the trailing box block; the origin vertex's evaluation from the
 /// ordinary grid columns at the same offsets the cartesian builder uses.
-BoxGrid build_box_grid_rows(
-    const std::vector<std::string>& columns,
-    const std::function<bool(std::vector<std::string>*)>& next_row) {
-  const ReportSchema schema = engine::validate_report_schema(columns);
+template <typename Rows>
+BoxGrid build_box_grid_rows(Rows& rows) {
+  const ReportSchema schema = engine::validate_report_schema(rows.columns());
   P2P_ASSERT_MSG(schema.kind == ReportKind::kGrid && schema.has_boxes,
                  "box grids are built from adaptive grid reports (header "
                  "carries the box_depth/box_uniform/box_ext_* block)");
@@ -385,52 +493,41 @@ BoxGrid build_box_grid_rows(
   const std::size_t x_slot = axis_index(grid.x_axis);
   const std::size_t tail = schema.tail_start;
 
-  std::vector<std::string> row;
-  for (std::size_t r = 0; next_row(&row); ++r) {
-    const std::string ctx = "adaptive report row " + std::to_string(r);
-    const auto num = [&](std::size_t col) {
-      return engine::parse_report_number(row[col], ctx);
-    };
-    P2P_ASSERT_MSG(num(0) == static_cast<double>(r),
-                   "adaptive report cell indices must run 0..n-1 in row "
-                   "order (" + ctx + " has cell " + row[0] + ")");
+  std::vector<std::string_view> cols;
+  for (std::size_t r = 0; rows.next_row_views(&cols); ++r) {
+    const RowView row{cols, "adaptive", r};
+    row.check_index();
     PhaseBox b;
-    b.params.lambda = num(1);
-    b.params.us = num(2);
-    b.params.mu = num(3);
-    b.params.gamma = num(4);
-    b.params.k = static_cast<int>(std::lround(num(5)));
-    b.params.eta = num(6);
-    b.params.flash = std::llround(num(7));
-    b.params.mix = num(8);
-    b.params.hetero = num(9);
-    b.verdict = parse_verdict(row[tail], ctx);
-    b.margin = num(tail + 1);
-    const double replicas_raw = num(tail + 3);
+    double k_raw = 0, flash_raw = 0;  // not validated on box rows
+    b.params = parse_axes(row, &k_raw, &flash_raw);
+    b.verdict = row.verdict(tail);
+    b.margin = row.num(tail + 1);
+    const double replicas_raw = row.num(tail + 3);
     b.replicas = static_cast<int>(std::lround(replicas_raw));
     P2P_ASSERT_MSG(b.replicas >= 0 &&
                        std::abs(replicas_raw - b.replicas) < 1e-9,
-                   "replicas must be a nonnegative integer (" + ctx + ")");
-    b.sim_mean_peers = num(tail + 5);
+                   "replicas must be a nonnegative integer (" + row.ctx() +
+                       ")");
+    b.sim_mean_peers = row.num(tail + 5);
 
-    const double depth_raw = num(schema.box_start);
+    const double depth_raw = row.num(schema.box_start);
     b.depth = static_cast<int>(std::lround(depth_raw));
     P2P_ASSERT_MSG(b.depth >= 0 && std::abs(depth_raw - b.depth) < 1e-9,
-                   "box_depth must be a nonnegative integer (" + ctx + ")");
-    const double uniform_raw = num(schema.box_start + 1);
+                   "box_depth must be a nonnegative integer (" + row.ctx() + ")");
+    const double uniform_raw = row.num(schema.box_start + 1);
     P2P_ASSERT_MSG(uniform_raw == 0 || uniform_raw == 1,
-                   "box_uniform must be 0 or 1 (" + ctx + ")");
+                   "box_uniform must be 0 or 1 (" + row.ctx() + ")");
     b.uniform = uniform_raw == 1;
-    b.ext_y = num(schema.box_start + 2);
-    b.ext_x = num(schema.box_start + 3);
+    b.ext_y = row.num(schema.box_start + 2);
+    b.ext_x = row.num(schema.box_start + 3);
     P2P_ASSERT_MSG(std::isfinite(b.ext_x) && b.ext_x > 0 &&
                        std::isfinite(b.ext_y) && b.ext_y > 0,
-                   "box extents must be positive finite numbers (" + ctx +
+                   "box extents must be positive finite numbers (" + row.ctx() +
                        ")");
     b.x0 = axis_value(b.params, x_slot);
     b.y0 = axis_value(b.params, y_slot);
     P2P_ASSERT_MSG(std::isfinite(b.x0) && std::isfinite(b.y0),
-                   "box origins must be finite (" + ctx + ")");
+                   "box origins must be finite (" + row.ctx() + ")");
     grid.boxes.push_back(b);
   }
   P2P_ASSERT_MSG(!grid.boxes.empty(), "adaptive report has no rows");
@@ -488,41 +585,24 @@ const PhaseBox& BoxGrid::box_at(double x, double y) const {
 }
 
 BoxGrid build_box_grid(const Table& table) {
-  std::size_t r = 0;
-  return build_box_grid_rows(table.columns(),
-                             [&](std::vector<std::string>* cells) {
-                               if (r >= table.num_rows()) return false;
-                               *cells = table.row(r++);
-                               return true;
-                             });
+  TableRowViews rows(table);
+  return build_box_grid_rows(rows);
 }
 
 BoxGrid build_box_grid(engine::CsvReader& reader) {
-  return build_box_grid_rows(
-      reader.columns(),
-      [&](std::vector<std::string>* cells) { return reader.next_row(cells); });
+  return build_box_grid_rows(reader);
 }
 
 PhaseGrid build_phase_grid(const Table& table, const std::string& x_axis,
                            const std::string& y_axis) {
-  std::size_t r = 0;
-  return build_phase_grid_rows(
-      table.columns(),
-      [&](std::vector<std::string>* cells) {
-        if (r >= table.num_rows()) return false;
-        *cells = table.row(r++);
-        return true;
-      },
-      x_axis, y_axis);
+  TableRowViews rows(table);
+  return build_phase_grid_rows(rows, x_axis, y_axis);
 }
 
 PhaseGrid build_phase_grid(engine::CsvReader& reader,
                            const std::string& x_axis,
                            const std::string& y_axis) {
-  return build_phase_grid_rows(
-      reader.columns(),
-      [&](std::vector<std::string>* cells) { return reader.next_row(cells); },
-      x_axis, y_axis);
+  return build_phase_grid_rows(reader, x_axis, y_axis);
 }
 
 std::vector<PhaseFrontierPoint> extract_frontier(const PhaseGrid& grid,

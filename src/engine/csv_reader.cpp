@@ -1,36 +1,44 @@
 #include "engine/csv_reader.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string_view>
 
 #include "engine/parse_util.hpp"
 #include "engine/refine.hpp"
 #include "util/assert.hpp"
+#include "util/decimal.hpp"
 
 namespace p2p::engine {
 
-double parse_report_number(const std::string& cell,
+bool try_parse_report_number(std::string_view cell, double* out) {
+  if (cell == "nan") {
+    *out = std::numeric_limits<double>::quiet_NaN();
+  } else if (cell == "inf") {
+    *out = std::numeric_limits<double>::infinity();
+  } else if (cell == "-inf") {
+    *out = -std::numeric_limits<double>::infinity();
+  } else {
+    // The plain-decimal grammar is exactly what format_number emits for
+    // finite values; from_chars alone would also take "inf"/"nan"
+    // aliases and ".5".
+    const std::optional<double> v = parse_plain_decimal(cell);
+    if (!v) return false;
+    *out = *v;
+  }
+  return true;
+}
+
+double parse_report_number(std::string_view cell,
                            const std::string& context) {
-  if (cell == "nan") return std::nan("");
-  if (cell == "inf") return std::numeric_limits<double>::infinity();
-  if (cell == "-inf") return -std::numeric_limits<double>::infinity();
-  // strtod alone is too liberal for a dialect check: it skips leading
-  // whitespace and accepts "+2" and hex floats ("0x10" -> 16.0), none
-  // of which format_number can emit. Pre-gate the spellings, then let
-  // strtod do the value work; isfinite rejects the remaining aliases
-  // ("infinity", "nan(...)").
-  const bool shape_ok =
-      !cell.empty() && (cell[0] == '-' || (cell[0] >= '0' && cell[0] <= '9')) &&
-      cell.find_first_of("xX") == std::string::npos;
-  char* end = nullptr;
-  const double v = shape_ok ? std::strtod(cell.c_str(), &end) : 0.0;
-  P2P_ASSERT_MSG(shape_ok && end == cell.c_str() + cell.size() &&
-                     std::isfinite(v),
+  double v = 0;
+  P2P_ASSERT_MSG(try_parse_report_number(cell, &v),
                  "expected a report number (format_number dialect), got \"" +
-                     cell + "\" in " + context);
+                     std::string(cell) + "\" in " + context);
   return v;
 }
 
@@ -49,6 +57,40 @@ std::string preview_of(std::string_view text) {
 
 /// Read chunk size: matches the writer's flush threshold.
 constexpr std::size_t kReadChunk = 1 << 16;
+
+/// Offset of the '\n' ending the record that starts at bytes[0], with
+/// RFC-4180 quoting: a '"' opens a quoted cell only at a cell boundary,
+/// and a '\n' inside one is data. A bare quote mid-cell is data to the
+/// scanner and a loud parse error in the splitter, never a silent
+/// swallow-the-rest-of-the-file state. npos when `bytes` ends first;
+/// the caller then refills and rescans the record from its start, so a
+/// quote pair split by the buffer end is never misread.
+std::size_t quoted_record_end(std::string_view bytes) {
+  bool quoted = false;
+  bool cell_start = true;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const char c = bytes[i];
+    if (quoted) {
+      if (c == '"') {
+        if (i + 1 < bytes.size() && bytes[i + 1] == '"') {
+          ++i;  // doubled quote: stay inside the cell
+        } else {
+          quoted = false;
+        }
+      }
+    } else if (c == '"' && cell_start) {
+      quoted = true;
+      cell_start = false;
+    } else if (c == ',') {
+      cell_start = true;
+    } else if (c == '\n') {
+      return i;
+    } else {
+      cell_start = false;
+    }
+  }
+  return std::string_view::npos;
+}
 
 }  // namespace
 
@@ -101,72 +143,63 @@ CsvReader::~CsvReader() {
   if (owns_file_ && file_ != nullptr) std::fclose(file_);
 }
 
+void CsvReader::fail(const std::string& what) const {
+  P2P_ASSERT_MSG(false,
+                 what + " (" + source_ + " line " + std::to_string(line_) +
+                     ": \"" +
+                     preview_of(std::string_view(buffer_).substr(pos_)) +
+                     "\")");
+  std::abort();  // unreachable
+}
+
 void CsvReader::refill() {
   if (exhausted_) return;
   // Compact the consumed prefix once per refill (not per row): rows are
   // erased by bumping pos_, so a million-row file costs one memmove per
-  // 64 KiB chunk instead of one per record.
+  // 64 KiB chunk instead of one per record. This is the step that moves
+  // the bytes under a previous row's views.
   if (pos_ > 0) {
     buffer_.erase(0, pos_);
     pos_ = 0;
   }
-  char chunk[kReadChunk];
-  const std::size_t got = std::fread(chunk, 1, sizeof(chunk), file_);
-  buffer_.append(chunk, got);
-  if (got < sizeof(chunk)) {
+  const std::size_t kept = buffer_.size();
+  buffer_.resize(kept + kReadChunk);
+  const std::size_t got =
+      std::fread(buffer_.data() + kept, 1, kReadChunk, file_);
+  buffer_.resize(kept + got);
+  if (got < kReadChunk) {
     P2P_ASSERT_MSG(std::ferror(file_) == 0,
                    "read error on report input file \"" + source_ + "\"");
     exhausted_ = true;
   }
 }
 
-bool CsvReader::next_row(std::vector<std::string>* cells) {
-  const auto fail = [&](const std::string& what) {
-    P2P_ASSERT_MSG(false,
-                   what + " (" + source_ + " line " + std::to_string(line_) +
-                       ": \"" +
-                       preview_of(std::string_view(buffer_).substr(pos_)) +
-                       "\")");
-  };
-
-  // Find the end of the next record: the first '\n' outside quotes.
-  // Quoted cells may span newlines (and, in a file-backed reader, chunk
-  // boundaries), so the scan restarts after every refill (which may
-  // compact the buffer and move pos_). A '"' opens a quoted cell only
-  // at a cell boundary — a bare quote mid-cell is data to the scanner
-  // and a loud parse error below, never a silent
-  // swallow-the-rest-of-the-file state.
-  std::size_t end = std::string::npos;
+std::size_t CsvReader::find_record_end(bool* has_quote) {
+  // [pos_, pos_ + clean) is known to hold neither '\n' nor '"', so a
+  // record longer than one chunk is not rescanned after each refill.
+  std::size_t clean = 0;
   while (true) {
-    bool quoted = false;
-    bool cell_start = true;
-    for (std::size_t i = pos_; i < buffer_.size(); ++i) {
-      const char c = buffer_[i];
-      if (quoted) {
-        if (c == '"') {
-          if (i + 1 < buffer_.size() && buffer_[i + 1] == '"') {
-            ++i;  // doubled quote: stay inside the cell
-          } else if (i + 1 == buffer_.size() && !exhausted_) {
-            break;  // cannot tell yet: refill decides
-          } else {
-            quoted = false;
-          }
-        }
-      } else if (c == '"' && cell_start) {
-        quoted = true;
-        cell_start = false;
-      } else if (c == ',') {
-        cell_start = true;
-      } else if (c == '\n') {
-        end = i;
-        break;
-      } else {
-        cell_start = false;
-      }
+    const std::string_view rest = std::string_view(buffer_).substr(pos_);
+    // Fast path: a record without a '"' ends at its first '\n' — two
+    // memchr scans, no state machine.
+    const char* nl = static_cast<const char*>(
+        std::memchr(rest.data() + clean, '\n', rest.size() - clean));
+    const std::size_t len =
+        nl != nullptr ? static_cast<std::size_t>(nl - rest.data())
+                      : rest.size();
+    *has_quote =
+        std::memchr(rest.data() + clean, '"', len - clean) != nullptr;
+    if (!*has_quote) {
+      if (nl != nullptr) return pos_ + len;
+      clean = rest.size();
+    } else {
+      // Quoted cells may span newlines (and chunk boundaries): rescan
+      // the record from its start with the quote state machine.
+      const std::size_t end = quoted_record_end(rest);
+      if (end != std::string_view::npos) return pos_ + end;
     }
-    if (end != std::string::npos) break;
     if (exhausted_) {
-      if (pos_ >= buffer_.size()) return false;  // clean end of file
+      if (rest.empty()) return std::string::npos;  // clean end of file
       // Bytes with no terminating newline: the writer '\n'-terminates
       // every row, so the file was cut mid-record (or a quote never
       // closed).
@@ -175,39 +208,44 @@ bool CsvReader::next_row(std::vector<std::string>* cells) {
     }
     refill();
   }
+}
 
-  // Split the record [pos_, end) into cells, enforcing the writer's
-  // quoting discipline.
-  cells->clear();
-  const std::string_view record(buffer_.data() + pos_, end - pos_);
+void CsvReader::split_quoted(std::string_view record,
+                             std::vector<std::string_view>* cells) {
+  // Unescaped text is never longer than the record, so reserving that
+  // much keeps scratch_ from reallocating under the views already taken.
+  scratch_.clear();
+  scratch_.reserve(record.size());
   std::size_t i = 0;
   while (true) {
-    std::string cell;
     if (i < record.size() && record[i] == '"') {
+      const std::size_t start = scratch_.size();
       ++i;
       while (true) {
         if (i >= record.size()) {
           // The closing quote can only be missing here if the record
           // terminator itself sat inside the quotes — record scanning
-          // above would have skipped it — so this is a stray state.
+          // would have skipped it — so this is a stray state.
           fail("unterminated quoted cell in report CSV");
         }
         if (record[i] == '"') {
           if (i + 1 < record.size() && record[i + 1] == '"') {
-            cell += '"';
+            scratch_ += '"';
             i += 2;
           } else {
             ++i;
             break;
           }
         } else {
-          cell += record[i++];
+          scratch_ += record[i++];
         }
       }
       if (i < record.size() && record[i] != ',') {
         fail("malformed quoting in report CSV: a quoted cell must be "
              "followed by a comma or the end of the record");
       }
+      cells->push_back(
+          std::string_view(scratch_).substr(start, scratch_.size() - start));
     } else {
       const std::size_t start = i;
       while (i < record.size() && record[i] != ',') {
@@ -217,11 +255,34 @@ bool CsvReader::next_row(std::vector<std::string>* cells) {
         }
         ++i;
       }
-      cell.assign(record.substr(start, i - start));
+      cells->push_back(record.substr(start, i - start));
     }
-    cells->push_back(std::move(cell));
     if (i >= record.size()) break;
     ++i;  // skip ','
+  }
+}
+
+bool CsvReader::next_row_views(std::vector<std::string_view>* cells) {
+  bool has_quote = false;
+  const std::size_t end = find_record_end(&has_quote);
+  if (end == std::string::npos) return false;
+
+  // Split the record [pos_, end) into cells, enforcing the writer's
+  // quoting discipline. A record without a '"' is plain comma-separated
+  // views of the buffer.
+  cells->clear();
+  const std::string_view record(buffer_.data() + pos_, end - pos_);
+  if (has_quote) {
+    split_quoted(record, cells);
+  } else {
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < record.size(); ++i) {
+      if (record[i] == ',') {
+        cells->push_back(record.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+    cells->push_back(record.substr(start));
   }
 
   if (!columns_.empty() && cells->size() != columns_.size()) {
@@ -232,11 +293,20 @@ bool CsvReader::next_row(std::vector<std::string>* cells) {
   // Consume the record and its terminator by advancing pos_ (the
   // buffer compacts at the next refill); line numbers advance by the
   // newlines inside quoted cells too.
-  for (std::size_t j = pos_; j <= end; ++j) {
-    if (buffer_[j] == '\n') ++line_;
-  }
+  line_ += 1 + (has_quote ? static_cast<std::size_t>(std::count(
+                                record.begin(), record.end(), '\n'))
+                          : 0);
   pos_ = end + 1;
   ++rows_;
+  return true;
+}
+
+bool CsvReader::next_row(std::vector<std::string>* cells) {
+  if (!next_row_views(&views_)) return false;
+  cells->resize(views_.size());
+  for (std::size_t i = 0; i < views_.size(); ++i) {
+    (*cells)[i].assign(views_[i]);
+  }
   return true;
 }
 

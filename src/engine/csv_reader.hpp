@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/report.hpp"
@@ -26,16 +27,21 @@
 
 namespace p2p::engine {
 
-/// Inverse of format_number: "nan", "inf", "-inf", or a finite decimal
-/// spelling (strtod must consume the whole cell — "", "1x", " 2" all
-/// abort, echoing `cell` and `context`).
-double parse_report_number(const std::string& cell,
-                           const std::string& context);
+/// Inverse of format_number: "nan", "inf", "-inf", or a plain finite
+/// decimal (util/decimal.hpp: from_chars must consume the whole cell —
+/// "", "1x", " 2", "-.5", "1e-400" all abort, echoing `cell` and
+/// `context`).
+double parse_report_number(std::string_view cell, const std::string& context);
+
+/// The non-aborting core of parse_report_number, for callers that build
+/// their error context only on failure: false when `cell` is not in the
+/// format_number dialect (`*out` is then unspecified).
+bool try_parse_report_number(std::string_view cell, double* out);
 
 /// Pulls rows one at a time out of a report CSV without retaining the
 /// document, so corpora larger than memory stream in O(row) space. The
-/// header is parsed eagerly at construction; each next_row() call
-/// yields one record and validates its arity against the header.
+/// header is parsed eagerly at construction; each row call yields one
+/// record and validates its arity against the header.
 class CsvReader {
  public:
   /// Reads from `path`; "-" means stdin (so a fresh p2p_sweep run can
@@ -55,15 +61,32 @@ class CsvReader {
   /// Data rows returned so far (the header does not count).
   std::size_t rows_read() const { return rows_; }
 
-  /// Fills `cells` with the next data row; false at clean end of file.
+  /// Zero-copy row API: fills `cells` with views of the next data row;
+  /// false at clean end of file. Unquoted cells view the reader's read
+  /// buffer; quoted cells view their unescaped text in a reader-owned
+  /// scratch string.
+  ///
+  /// LIFETIME: the views stay valid only until the next next_row /
+  /// next_row_views call on this reader (which may refill and compact
+  /// the buffer) or the reader's destruction. Copy what must outlive the
+  /// row.
+  ///
   /// Aborts — echoing the 1-based line number and the line itself — on
   /// wrong arity, malformed quoting, or a truncated final record (a
   /// file that does not end in '\n' was cut mid-row).
+  bool next_row_views(std::vector<std::string_view>* cells);
+
+  /// Owning row API: next_row_views, copied into `cells`. Same
+  /// validation and aborts.
   bool next_row(std::vector<std::string>* cells);
 
  private:
   CsvReader() = default;
   void refill();
+  std::size_t find_record_end(bool* has_quote);
+  void split_quoted(std::string_view record,
+                    std::vector<std::string_view>* cells);
+  [[noreturn]] void fail(const std::string& what) const;
 
   std::string source_;  // for error messages
   std::FILE* file_ = nullptr;
@@ -72,6 +95,8 @@ class CsvReader {
   std::string buffer_;      // read bytes; [pos_, end) not yet parsed
   std::size_t pos_ = 0;     // consumed prefix (compacted at refill)
   std::size_t line_ = 1;    // 1-based line number of the next record
+  std::string scratch_;     // unescaped quoted cells of the current row
+  std::vector<std::string_view> views_;  // next_row's view row
   std::vector<std::string> columns_;
   std::size_t rows_ = 0;
 };

@@ -1,49 +1,33 @@
 // Shared low-level parsing for the engine's CLI spec grammars
-// (axis specs, refine specs, scenario specs): one strtod-full-consumption
-// number parser and one separator splitter, so the grammars cannot drift
-// apart on locale/whitespace/partial-token handling.
+// (axis specs, refine specs, scenario specs): one number parser (over the
+// tree-wide plain-decimal grammar) and one separator splitter, so the
+// grammars cannot drift apart on locale/whitespace/partial-token handling.
 #pragma once
 
-#include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/decimal.hpp"
 
 namespace p2p::engine {
-
-/// True iff `token` has the shape of a plain decimal number: an optional
-/// leading '-', then a digit. This gates strtod's looser grammar — the
-/// "nan"/"inf"/"infinity" word spellings (any case), hex floats ("0x1p3"
-/// starts with a digit, so 'x'/'X' is rejected separately), and leading
-/// whitespace all fail the gate instead of silently parsing.
-inline bool plain_decimal_shape(const std::string& token) {
-  const std::size_t first = token.size() > 1 && token[0] == '-' ? 1 : 0;
-  if (token.size() <= first || token[first] < '0' || token[first] > '9') {
-    return false;
-  }
-  return token.find_first_of("xX") == std::string::npos;
-}
 
 /// Parses one number token. `spec` is the enclosing CLI spec, echoed
 /// verbatim on failure so the user sees which argument is bad. When
 /// `allow_inf`, the literal token "inf" (exactly that spelling) parses to
-/// +infinity; every other spelling must be a finite plain decimal that
-/// strtod consumes whole — "1x", "", " 2", "nan", "infinity", "INF",
-/// "0x1p3" and overflowing decimals all abort.
+/// +infinity; every other spelling must be a plain finite decimal
+/// (util/decimal.hpp) — "1x", "", " 2", "-.5", "nan", "infinity", "INF",
+/// "0x1p3" and out-of-range decimals all abort.
 inline double parse_number(const std::string& token, const std::string& spec,
                            bool allow_inf, const char* what) {
   if (allow_inf && token == "inf") {
     return std::numeric_limits<double>::infinity();
   }
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  P2P_ASSERT_MSG(plain_decimal_shape(token) &&
-                     end == token.c_str() + token.size() && std::isfinite(v),
-                 std::string(what) + " (got \"" + spec + "\")");
-  return v;
+  const std::optional<double> v = parse_plain_decimal(token);
+  P2P_ASSERT_MSG(v.has_value(), std::string(what) + " (got \"" + spec + "\")");
+  return *v;
 }
 
 /// Splits `body` at every `sep` (no escaping; empty pieces preserved).

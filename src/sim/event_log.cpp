@@ -3,12 +3,14 @@
 #include <cctype>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "engine/parse_util.hpp"
 #include "engine/report.hpp"
 #include "rand/rng.hpp"
 #include "sim/swarm.hpp"
 #include "sim/typecount_sim.hpp"
+#include "util/decimal.hpp"
 
 namespace p2p {
 
@@ -54,14 +56,12 @@ SwarmEventKind parse_kind(const std::string& cell, std::size_t line_number,
 
 double parse_time_field(const std::string& cell, std::size_t line_number,
                         const std::string& line) {
-  char* end = nullptr;
-  const double t = std::strtod(cell.c_str(), &end);
-  if (!engine::plain_decimal_shape(cell) ||
-      end != cell.c_str() + cell.size() || !std::isfinite(t) || t < 0) {
+  const std::optional<double> t = parse_plain_decimal(cell);
+  if (!t || *t < 0) {
     bad_line(line_number, line,
              "timestamp must be a finite nonnegative decimal");
   }
-  return t;
+  return *t;
 }
 
 SwarmEvent finish_event(double t, SwarmEventKind kind, std::uint64_t type,

@@ -13,8 +13,11 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+
+#include "util/decimal.hpp"
 
 namespace p2p {
 
@@ -124,23 +127,17 @@ class Flags {
     }
   }
 
-  /// Parses a flag value as a plain finite decimal, aborting with the
-  /// token echoed as typed. Shape-gated before strtod: its grammar also
-  /// accepts "nan", "inf"/"infinity" (any case), hex floats and leading
-  /// whitespace — spellings that would silently run a different
-  /// experiment than the flag suggests.
+  /// Parses a flag value as a plain finite decimal (util/decimal.hpp),
+  /// aborting with the token echoed as typed: "nan", "inf"/"infinity",
+  /// hex floats, "-.5" and leading whitespace would silently run a
+  /// different experiment than the flag suggests.
   double parse_decimal(const std::string& name, const std::string& token) {
-    const std::size_t first = token.size() > 1 && token[0] == '-' ? 1 : 0;
-    const bool decimal_shape =
-        token.size() > first && token[first] >= '0' && token[first] <= '9' &&
-        token.find_first_of("xX") == std::string::npos;
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (!decimal_shape || *end != '\0' || !std::isfinite(v)) {
+    const std::optional<double> v = parse_plain_decimal(token);
+    if (!v) {
       fail("flag --" + name + " expects a number (finite decimal), got '" +
            token + "'");
     }
-    return v;
+    return *v;
   }
 
   /// Records the flag for the usage listing; returns its value as

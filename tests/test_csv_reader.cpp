@@ -10,7 +10,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/report.hpp"
@@ -75,6 +78,25 @@ TEST(ParseReportNumberDeath, RejectsOffDialectSpellingsStrtodWouldTake) {
   EXPECT_DEATH(parse_report_number("+2", "ctx"), "report number");
   EXPECT_DEATH(parse_report_number("0x10", "ctx"), "report number");
   EXPECT_DEATH(parse_report_number("2 ", "ctx"), "report number");
+}
+
+TEST(ParseReportNumberDeath, SharesThePlainDecimalGrammar) {
+  // The report reader, the CLI flags, the engine specs and the event log
+  // share one plain-decimal grammar (util/decimal.hpp): a digit must
+  // follow the optional '-', so "-.5" is off-dialect here too
+  // (format_number spells it "-0.5").
+  EXPECT_DEATH(parse_report_number("-.5", "ctx"), "got \"-.5\" in ctx");
+  EXPECT_DEATH(parse_report_number(".5", "ctx"), "report number");
+  EXPECT_DEATH(parse_report_number("-", "ctx"), "report number");
+  EXPECT_EQ(parse_report_number("-0.5", "ctx"), -0.5);
+  // Out-of-range spellings abort in both directions: "1e400" would be
+  // an infinity and "1e-400" a zero that nobody wrote. format_number
+  // never emits either; subnormals are in range and still round-trip.
+  EXPECT_DEATH(parse_report_number("1e400", "ctx"), "report number");
+  EXPECT_DEATH(parse_report_number("1e-400", "ctx"), "report number");
+  EXPECT_DEATH(parse_report_number("-1e-400", "ctx"), "report number");
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(parse_report_number(format_number(tiny), "ctx"), tiny);
 }
 
 TEST(ReadCsv, RoundTripsPlainTable) {
@@ -171,6 +193,88 @@ TEST(CsvReader, StreamsAFileAcrossTheFlushBoundary) {
   }
   EXPECT_EQ(rows, 4000u);
   EXPECT_EQ(reader.rows_read(), 4000u);
+  std::remove(path.c_str());
+}
+
+/// One CSV record exactly as the writer quotes it (the document minus
+/// its header line).
+std::string csv_record(const std::vector<std::string>& cells) {
+  std::vector<std::string> columns(cells.size(), "c");
+  Table one(columns);
+  one.add_row(cells);
+  const std::string text = one.to_csv();
+  return text.substr(text.find('\n') + 1);
+}
+
+TEST(CsvReader, QuotedCellsStraddlingTheRefillBoundary) {
+  // The reader refills in 64 KiB chunks and compacts its buffer, so the
+  // bytes under a row's views move between calls. Place quoted cells —
+  // commas, doubled quotes, embedded newlines — so that the first chunk
+  // boundary falls at every byte offset around and inside them; the
+  // view rows and the owning rows must equal the table the bytes came
+  // from, and read_csv of the same bytes, cell for cell.
+  constexpr std::size_t kChunk = 1 << 16;
+  const std::vector<std::string> columns = {"i", "note", "x"};
+  const std::string quoted = "a,b \"q\" \"\"\nz,";  // quotes, commas, '\n'
+  const std::string path = ::testing::TempDir() + "csv_reader_straddle.csv";
+  // `shift` = how many bytes before the chunk boundary the quoted note
+  // cell starts: from just after the boundary to past the row's second
+  // quoted cell, so the boundary falls on every byte of both.
+  for (int shift = -6; shift <= 2 * static_cast<int>(quoted.size()) + 12;
+       ++shift) {
+    const std::size_t target =
+        static_cast<std::size_t>(static_cast<long>(kChunk) - shift);
+    Table table(columns);
+    std::string text = "i,note,x\n";
+    const auto add = [&](const std::vector<std::string>& cells) {
+      table.add_row(cells);
+      text += csv_record(cells);
+    };
+    while (text.size() + 200 < target) {
+      add({std::to_string(table.num_rows()), std::string(50, 'y'), "0"});
+    }
+    // Pad row: sized so that the next row's note cell starts at target.
+    const std::string i_pad = std::to_string(table.num_rows());
+    const std::string i_hit = std::to_string(table.num_rows() + 1);
+    const std::size_t fixed = i_pad.size() + 4 + i_hit.size() + 1;
+    add({i_pad, std::string(target - text.size() - fixed, 'p'), "0"});
+    add({i_hit, quoted, "\"\n\""});
+    ASSERT_EQ(text[target], '"') << "shift " << shift;  // opens the note
+    for (int k = 0; k < 40; ++k) {
+      add({std::to_string(table.num_rows()), k % 3 == 0 ? quoted : "tail",
+           k % 5 == 0 ? "\"" : "1"});
+    }
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+      std::fclose(f);
+    }
+    const Table from_text = read_csv(text);
+    expect_tables_equal(table, from_text);
+
+    CsvReader views(path);
+    ASSERT_EQ(views.columns(), columns);
+    std::vector<std::string_view> view_row;
+    std::size_t r = 0;
+    while (views.next_row_views(&view_row)) {
+      ASSERT_LT(r, table.num_rows()) << "shift " << shift;
+      const std::vector<std::string> copied(view_row.begin(), view_row.end());
+      ASSERT_EQ(copied, table.row(r)) << "shift " << shift << " row " << r;
+      ++r;
+    }
+    EXPECT_EQ(r, table.num_rows()) << "shift " << shift;
+
+    CsvReader owning(path);
+    std::vector<std::string> row;
+    r = 0;
+    while (owning.next_row(&row)) {
+      ASSERT_LT(r, table.num_rows()) << "shift " << shift;
+      ASSERT_EQ(row, from_text.row(r)) << "shift " << shift << " row " << r;
+      ++r;
+    }
+    EXPECT_EQ(r, table.num_rows()) << "shift " << shift;
+  }
   std::remove(path.c_str());
 }
 

@@ -68,6 +68,8 @@ TEST(EventLogDeathTest, MalformedLinesAbortEchoingTheLine) {
   EXPECT_DEATH(parse_event_line("nan,arrive,0,", 1, 3), "timestamp");
   EXPECT_DEATH(parse_event_line("inf,arrive,0,", 1, 3), "timestamp");
   EXPECT_DEATH(parse_event_line("-1,arrive,0,", 1, 3), "nonnegative");
+  EXPECT_DEATH(parse_event_line(".5,arrive,0,", 1, 3), "timestamp");
+  EXPECT_DEATH(parse_event_line("1e-400,arrive,0,", 1, 3), "timestamp");
   // Unknown kind, echoed verbatim.
   EXPECT_DEATH(parse_event_line("1.5,vanish,0,", 2, 3),
                "unknown event kind");

@@ -189,9 +189,11 @@ TEST(FlagsDeath, StrtodLeniencyHolesStayClosed) {
   // any-case "inf"/"infinity", hex floats and leading whitespace. A
   // numeric flag takes finite plain decimals only; each rejected
   // spelling is echoed back so the user sees what was actually parsed.
+  // "-.5" and the out-of-range spellings in both directions fail the
+  // shared plain-decimal grammar (util/decimal.hpp) like everywhere else.
   for (const char* bad : {"--rate=nan", "--rate=inf", "--rate=INFINITY",
                           "--rate=-inf", "--rate=0x1p3", "--rate= 2",
-                          "--rate=1e999"}) {
+                          "--rate=1e999", "--rate=-.5", "--rate=1e-400"}) {
     EXPECT_DEATH(
         {
           Flags f = make({bad});

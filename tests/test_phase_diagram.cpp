@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -102,6 +106,167 @@ TEST(BuildPhaseGrid, ReconstructsScenarioFromPerTypeColumns) {
         classify(engine::expand(grid.scenario, cell.params).params);
     EXPECT_EQ(report.verdict, cell.verdict);
     EXPECT_NEAR(report.margin, cell.margin, 1e-9);
+  }
+}
+
+/// Doubles compare by bit pattern, so NaN cells must match as NaN.
+void expect_same_double(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+void expect_same_params(const engine::CellParams& a,
+                        const engine::CellParams& b, const std::string& at) {
+  expect_same_double(a.lambda, b.lambda, at + " lambda");
+  expect_same_double(a.us, b.us, at + " us");
+  expect_same_double(a.mu, b.mu, at + " mu");
+  expect_same_double(a.gamma, b.gamma, at + " gamma");
+  expect_same_double(a.eta, b.eta, at + " eta");
+  expect_same_double(a.mix, b.mix, at + " mix");
+  expect_same_double(a.hetero, b.hetero, at + " hetero");
+  EXPECT_EQ(a.k, b.k) << at;
+  EXPECT_EQ(a.flash, b.flash) << at;
+  EXPECT_EQ(a.policy, b.policy) << at;
+}
+
+void expect_same_grid(const PhaseGrid& a, const PhaseGrid& b) {
+  EXPECT_EQ(a.x_axis, b.x_axis);
+  EXPECT_EQ(a.y_axis, b.y_axis);
+  EXPECT_EQ(a.x_values, b.x_values);
+  EXPECT_EQ(a.y_values, b.y_values);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.has_fluid, b.has_fluid);
+  EXPECT_EQ(a.scenario.name, b.scenario.name);
+  EXPECT_EQ(a.scenario.num_pieces, b.scenario.num_pieces);
+  ASSERT_EQ(a.scenario.mix.size(), b.scenario.mix.size());
+  for (std::size_t i = 0; i < a.scenario.mix.size(); ++i) {
+    EXPECT_EQ(a.scenario.mix[i].type, b.scenario.mix[i].type);
+    expect_same_double(a.scenario.mix[i].rate, b.scenario.mix[i].rate,
+                       "mix rate " + std::to_string(i));
+  }
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    const std::string at = "cell " + std::to_string(i);
+    const PhaseCell& x = a.cells[i];
+    const PhaseCell& y = b.cells[i];
+    expect_same_params(x.params, y.params, at);
+    EXPECT_EQ(x.verdict, y.verdict) << at;
+    expect_same_double(x.margin, y.margin, at + " margin");
+    EXPECT_EQ(x.replicas, y.replicas) << at;
+    expect_same_double(x.sim_mean_peers, y.sim_mean_peers, at + " sim");
+    expect_same_double(x.ctmc_mean_peers, y.ctmc_mean_peers, at + " ctmc");
+    EXPECT_EQ(x.fluid, y.fluid) << at;
+  }
+}
+
+/// Writes `text` to a fresh file under the test temp dir.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    ADD_FAILURE() << "cannot create " << path;
+    return path;
+  }
+  EXPECT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+  return path;
+}
+
+/// A theory-only lambda x us region big enough to span several of the
+/// reader's 64 KiB refills.
+Table multi_chunk_region_table() {
+  SweepOptions options;
+  options.theory_only = true;
+  return run_sweep(parse_grid("k=2;lambda=0.5:3.0:48;us=0.2:1.7:40"),
+                   options)
+      .to_table();
+}
+
+TEST(BuildPhaseGrid, StreamingEqualsTableDefaultAxes) {
+  const Table table = multi_chunk_region_table();
+  const std::string text = table.to_csv();
+  ASSERT_GT(text.size(), 3u << 16);
+  const std::string path = write_temp("phase_stream_default.csv", text);
+  engine::CsvReader reader(path);
+  const PhaseGrid streamed = build_phase_grid(reader);
+  const PhaseGrid in_memory = build_phase_grid(table);
+  EXPECT_EQ(streamed.x_axis, "us");
+  EXPECT_EQ(streamed.num_x() * streamed.num_y(), table.num_rows());
+  expect_same_grid(streamed, in_memory);
+  std::remove(path.c_str());
+}
+
+TEST(BuildPhaseGrid, StreamingEqualsTableTransposed) {
+  // x = lambda (the slow axis in emission order): rows land far from
+  // their slots, so the in-place tiling permutation does real work.
+  const Table table = multi_chunk_region_table();
+  const std::string path =
+      write_temp("phase_stream_transposed.csv", table.to_csv());
+  engine::CsvReader reader(path);
+  const PhaseGrid streamed = build_phase_grid(reader, "lambda", "us");
+  const PhaseGrid in_memory = build_phase_grid(table, "lambda", "us");
+  expect_same_grid(streamed, in_memory);
+  // Every slot holds the cell at its own (x, y) coordinates.
+  ASSERT_EQ(streamed.num_x(), 48u);
+  ASSERT_EQ(streamed.num_y(), 40u);
+  for (std::size_t yi = 0; yi < streamed.num_y(); ++yi) {
+    for (std::size_t xi = 0; xi < streamed.num_x(); ++xi) {
+      ASSERT_EQ(streamed.at(yi, xi).params.lambda, streamed.x_values[xi]);
+      ASSERT_EQ(streamed.at(yi, xi).params.us, streamed.y_values[yi]);
+    }
+  }
+  // The transpose of the default view, cell for cell.
+  const PhaseGrid natural = build_phase_grid(table);
+  for (std::size_t yi = 0; yi < natural.num_y(); ++yi) {
+    for (std::size_t xi = 0; xi < natural.num_x(); ++xi) {
+      ASSERT_EQ(natural.at(yi, xi).margin, streamed.at(xi, yi).margin);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BuildPhaseGrid, StreamingEqualsTableOnArchivedScenarioCorpus) {
+  const std::string path =
+      std::string(P2P_EXPERIMENTS_DIR) + "/mix_example2_region.csv";
+  engine::CsvReader reader(path);
+  const PhaseGrid streamed = build_phase_grid(reader);
+  const PhaseGrid in_memory = build_phase_grid(engine::read_csv_file(path));
+  ASSERT_FALSE(streamed.scenario.empty());
+  expect_same_grid(streamed, in_memory);
+}
+
+TEST(BuildBoxGrid, StreamingEqualsTableOnArchivedAdaptiveCorpus) {
+  const std::string path =
+      std::string(P2P_EXPERIMENTS_DIR) + "/region_adaptive.csv";
+  engine::CsvReader reader(path);
+  const BoxGrid streamed = build_box_grid(reader);
+  const BoxGrid in_memory = build_box_grid(engine::read_csv_file(path));
+  EXPECT_EQ(streamed.x_axis, in_memory.x_axis);
+  EXPECT_EQ(streamed.y_axis, in_memory.y_axis);
+  expect_same_double(streamed.x_min, in_memory.x_min, "x_min");
+  expect_same_double(streamed.x_max, in_memory.x_max, "x_max");
+  expect_same_double(streamed.y_min, in_memory.y_min, "y_min");
+  expect_same_double(streamed.y_max, in_memory.y_max, "y_max");
+  expect_same_double(streamed.min_ext_x, in_memory.min_ext_x, "min_ext_x");
+  expect_same_double(streamed.min_ext_y, in_memory.min_ext_y, "min_ext_y");
+  EXPECT_EQ(streamed.max_depth, in_memory.max_depth);
+  ASSERT_EQ(streamed.boxes.size(), in_memory.boxes.size());
+  ASSERT_FALSE(streamed.boxes.empty());
+  for (std::size_t i = 0; i < streamed.boxes.size(); ++i) {
+    const std::string at = "box " + std::to_string(i);
+    const PhaseBox& a = streamed.boxes[i];
+    const PhaseBox& b = in_memory.boxes[i];
+    expect_same_params(a.params, b.params, at);
+    EXPECT_EQ(a.verdict, b.verdict) << at;
+    expect_same_double(a.margin, b.margin, at + " margin");
+    EXPECT_EQ(a.replicas, b.replicas) << at;
+    expect_same_double(a.sim_mean_peers, b.sim_mean_peers, at + " sim");
+    EXPECT_EQ(a.depth, b.depth) << at;
+    EXPECT_EQ(a.uniform, b.uniform) << at;
+    expect_same_double(a.x0, b.x0, at + " x0");
+    expect_same_double(a.y0, b.y0, at + " y0");
+    expect_same_double(a.ext_x, b.ext_x, at + " ext_x");
+    expect_same_double(a.ext_y, b.ext_y, at + " ext_y");
   }
 }
 
@@ -336,6 +501,31 @@ TEST(BuildPhaseGridDeath, ContradictoryPerTypeColumnAborts) {
     corrupt.add_row(std::move(row));
   }
   EXPECT_DEATH(build_phase_grid(corrupt), "contradicts");
+}
+
+TEST(BuildPhaseGridDeath, BadCellInTheThirdChunkNamesItsRow) {
+  // A streamed abort must name the row by its index in the report, not
+  // by its position in the reader's current buffer.
+  const std::string text = multi_chunk_region_table().to_csv();
+  const std::size_t at = (2u << 16) + 1000;  // inside the third chunk
+  ASSERT_GT(text.size(), at + 1000);
+  const std::size_t row_start = text.rfind('\n', at) + 1;
+  const std::size_t row = static_cast<std::size_t>(
+      std::count(text.begin(), text.begin() + row_start, '\n') - 1);
+  // Corrupt the row's margin cell (column 11).
+  std::size_t cell = row_start;
+  for (int c = 0; c < 11; ++c) cell = text.find(',', cell) + 1;
+  const std::size_t cell_end = text.find(',', cell);
+  std::string corrupt = text;
+  corrupt.replace(cell, cell_end - cell, "1x");
+  const std::string path = write_temp("phase_stream_bad.csv", corrupt);
+  EXPECT_DEATH(
+      {
+        engine::CsvReader reader(path);
+        build_phase_grid(reader);
+      },
+      "got \"1x\" in grid report row " + std::to_string(row));
+  std::remove(path.c_str());
 }
 
 TEST(BuildPhaseGridDeath, UnknownVerdictAborts) {

@@ -77,6 +77,10 @@ TEST(ParseAxisDeath, StrtodLeniencyHolesStayClosed) {
   // A decimal overflowing to infinity is an infinity the user did not
   // spell; it must not sneak past the finite check either.
   EXPECT_DEATH(parse_axis("gamma=1e999"), "got \"gamma=1e999\"");
+  // The shared plain-decimal grammar: a digit must follow the sign, and
+  // an underflow to zero is as unwritten as an overflow to infinity.
+  EXPECT_DEATH(parse_axis("lambda=-.5"), "got \"lambda=-.5\"");
+  EXPECT_DEATH(parse_axis("lambda=1e-400"), "got \"lambda=1e-400\"");
   // Plain decimals (including exponents) still parse.
   EXPECT_EQ(parse_axis("gamma=1e-3").values, std::vector<double>({1e-3}));
   EXPECT_EQ(parse_axis("lambda=-2.5").values, std::vector<double>({-2.5}));

@@ -16,8 +16,11 @@
 //     how the committed frontier-crossing trace under experiments/ was
 //     made.
 //
+// In the examples below, a "$" line and the more-indented lines under it
+// are one command, wrapped for width.
+//
 //   # Record a trace that crosses the stability frontier and back:
-//   $ ./p2p_monitor --k 3 --emit "1:150;4:150;1:150" --us 1 --mu 1 \
+//   $ ./p2p_monitor --k 3 --emit "1:150;4:150;1:150" --us 1 --mu 1
 //       --gamma 2 --seed 7 --out events.csv
 //
 //   # Replay it through the monitor (file in, stdout out):

@@ -8,20 +8,23 @@
 // matrix with a bootstrap CI, and dependency-free PPM/SVG renderings
 // with the frontier overlaid.
 //
+// In the examples below, a "$" line and the more-indented lines under it
+// are one command, wrapped for width.
+//
 //   # Render an archived mixed-arrival region and re-derive its
 //   # frontier:
-//   $ ./p2p_phase --in experiments/mix_example2_region.csv \
-//       --ppm phase.ppm --svg phase.svg --summary summary.json \
+//   $ ./p2p_phase --in experiments/mix_example2_region.csv
+//       --ppm phase.ppm --svg phase.svg --summary summary.json
 //       --frontier frontier.csv
 //
 //   # Pipe a fresh sweep straight in:
-//   $ ./p2p_sweep --grid "lambda=0.5:3.0:64;us=0.2:1.7:64" \
+//   $ ./p2p_sweep --grid "lambda=0.5:3.0:64;us=0.2:1.7:64"
 //       --theory-only | ./p2p_phase --in - --ppm region.ppm
 //
 //   # Theorem-14 policy comparison: render where a rarest-first sweep
 //   # holds more (red) or fewer (blue) peers than its baseline:
-//   $ ./p2p_phase --in experiments/policy_rarest_region.csv \
-//       --diff experiments/policy_baseline_region.csv \
+//   $ ./p2p_phase --in experiments/policy_rarest_region.csv
+//       --diff experiments/policy_baseline_region.csv
 //       --diff-ppm diff.ppm --diff-svg diff.svg
 //
 // Everything derived here is a pure function of the input bytes and
@@ -98,8 +101,9 @@ std::string summary_json(const std::string& source, const PhaseGrid& grid,
   out += "  \"scenario_types\": [";
   for (std::size_t i = 0; i < grid.scenario.mix.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + p2p::engine::mix_column_name(grid.scenario.mix[i].type) +
-           "\"";
+    out += '"';
+    out += p2p::engine::mix_column_name(grid.scenario.mix[i].type);
+    out += '"';
   }
   out += "],\n";
   if (!grid.policy.empty()) {
@@ -169,7 +173,8 @@ std::string summary_json(const std::string& source, const PhaseGrid& grid,
       out += std::string("\"") + verdict_names[t] + "\": [";
       for (int f = 0; f < 3; ++f) {
         if (f > 0) out += ", ";
-        out += "[" + std::to_string(agreement.counts3[t][f][0]) + ", " +
+        out += '[';
+        out += std::to_string(agreement.counts3[t][f][0]) + ", " +
                std::to_string(agreement.counts3[t][f][1]) + "]";
       }
       out += "]";

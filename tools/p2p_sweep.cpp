@@ -7,44 +7,47 @@
 // Per-replica RNG streams are derived from (seed, cell, replica), so the
 // report is byte-identical for any --threads value.
 //
+// In the examples below, a "$" line and the more-indented lines under it
+// are one command, wrapped for width.
+//
 //   # 256-cell Theorem-1 stability region (lambda x Us phase diagram),
 //   # 8 replicas per cell with 95% CIs:
-//   $ ./p2p_sweep --grid lambda=0.5:3.0:16 --replicas 8 --threads 8 \
+//   $ ./p2p_sweep --grid lambda=0.5:3.0:16 --replicas 8 --threads 8
 //       --out region.csv
 //
 //   # Custom slice: dwell-rate axis with an immediate-departure endpoint,
 //   # exact E[N] cross-check for K = 2:
-//   $ ./p2p_sweep --grid "k=2;gamma=0.5,1.25,5,inf;lambda=0.5:2.5:9" \
+//   $ ./p2p_sweep --grid "k=2;gamma=0.5,1.25,5,inf;lambda=0.5:2.5:9"
 //       --ctmc-cap 30 --format json
 //
 //   # Boundary refinement: bisect the Theorem-1 verdict flip along
 //   # lambda (to +-0.01) for each Us in the coarse grid, then simulate
 //   # 8 replicas at each localized frontier point:
-//   $ ./p2p_sweep --grid "k=1;us=0.4:1.6:7;lambda=1:9:5" \
+//   $ ./p2p_sweep --grid "k=1;us=0.4:1.6:7;lambda=1:9:5"
 //       --refine lambda:0.01 --replicas 8 --warmup 100 --out frontier.csv
 //
 //   # Typed-arrival mix: interpolate the arrival composition from the
 //   # empty-arrival stream (mix=0) to Example 2's paired-halves mix at
 //   # weights 3:1 (mix=1), and localize the verdict flip along mix:
-//   $ ./p2p_sweep --mix example2:3,1 \
-//       --grid "us=1;gamma=inf;lambda=2;mix=0:1:5" \
+//   $ ./p2p_sweep --mix example2:3,1
+//       --grid "us=1;gamma=inf;lambda=2;mix=0:1:5"
 //       --refine mix:0.001 --replicas 8 --out mix_frontier.csv
 //
 //   # Million-cell Theorem-1 phase diagram, closed form only (no sim):
 //   # the grid streams to disk as it completes, memory stays bounded.
-//   $ ./p2p_sweep --grid "lambda=0.5:3.0:1000;us=0.2:1.7:1000" \
+//   $ ./p2p_sweep --grid "lambda=0.5:3.0:1000;us=0.2:1.7:1000"
 //       --theory-only --threads 8 --out region_1e6.csv
 //
 //   # Adaptive multi-resolution refinement: start from a coarse vertex
 //   # lattice, subdivide only boxes whose corner verdicts disagree, down
 //   # to 2^4 times the coarse resolution — frontier-area cost instead of
 //   # volume cost, with a savings digest in the summary JSON:
-//   $ ./p2p_sweep --grid "lambda=0.5:3.0:5;us=0.2:1.7:5" --adaptive 4 \
+//   $ ./p2p_sweep --grid "lambda=0.5:3.0:5;us=0.2:1.7:5" --adaptive 4
 //       --theory-only --out region_adaptive.csv --summary adaptive.json
 //
 //   # Theorem-14 policy check: sweep the same grid under rarest-first
 //   # selection with the fluid-limit verdict column alongside:
-//   $ ./p2p_sweep --grid "k=2;lambda=0.5:2.5:9" --policy rarest --fluid \
+//   $ ./p2p_sweep --grid "k=2;lambda=0.5:2.5:9" --policy rarest --fluid
 //       --replicas 4 --out rarest.csv
 //
 // Unspecified axes keep the default region grid's values (lambda and Us
