@@ -83,14 +83,6 @@ void append_csv_cell(std::string& out, std::string_view cell) {
   out += '"';
 }
 
-void append_csv_row(std::string& out, const std::vector<std::string>& cells) {
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (c > 0) out += ',';
-    append_csv_cell(out, cells[c]);
-  }
-  out += '\n';
-}
-
 /// True iff `cell` matches the JSON number grammar exactly
 /// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), so the emitter can
 /// leave it unquoted. Deliberately stricter than strtod, which also
@@ -120,9 +112,9 @@ bool is_json_number(std::string_view cell) {
   return i == cell.size() && i > (cell[0] == '-' ? 1u : 0u);
 }
 
-/// The JSON cell trichotomy shared by write_row and RowRenderer: numbers
-/// unquoted, format_number's non-finite spellings as null, everything
-/// else a quoted string.
+/// The JSON cell trichotomy of Row::text: numbers unquoted,
+/// format_number's non-finite spellings as null, everything else a
+/// quoted string.
 void append_json_cell(std::string& out, std::string_view cell) {
   if (is_json_number(cell)) {
     out += cell;
@@ -130,22 +122,6 @@ void append_json_cell(std::string& out, std::string_view cell) {
     out += "null";
   } else {
     append_json_string(out, cell);
-  }
-}
-
-/// One row object WITHOUT its "}..." terminator: the streaming writer
-/// cannot know whether a row is the last one until finish(), so the
-/// terminator ("},\n" before a successor, "}\n" before the closer) is
-/// emitted by whoever learns which it is.
-void append_json_row_open(std::string& out,
-                          const std::vector<std::string>& columns,
-                          const std::vector<std::string>& cells) {
-  out += "  {";
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    if (c > 0) out += ", ";
-    append_json_string(out, columns[c]);
-    out += ": ";
-    append_json_cell(out, cells[c]);
   }
 }
 
@@ -171,6 +147,13 @@ RowRenderer::RowRenderer(ReportFormat format,
     }
     prefixes_.push_back(std::move(prefix));
   }
+}
+
+void RowRenderer::render_text_row(std::span<const std::string> cells,
+                                  std::string& arena) const {
+  Row row(*this, arena);
+  for (const std::string& cell : cells) row.text(cell);
+  row.end();
 }
 
 RowRenderer::Row::Row(const RowRenderer& renderer, std::string& arena)
@@ -236,31 +219,32 @@ void RowRenderer::Row::end() {
 ReportWriter::ReportWriter(const std::string& path, ReportFormat format,
                            std::vector<std::string> columns)
     : columns_(std::move(columns)),
-      format_(format),
+      renderer_(format, columns_),
       path_(path),
       to_stdout_(path_.empty() || path_ == "-") {
-  P2P_ASSERT_MSG(!columns_.empty(), "a report needs at least one column");
   if (to_stdout_) file_ = stdout;
   // A named file is opened lazily, at the first flush: a producer that
   // aborts in validation before writing anything (bad axis spec, ...)
   // must not have truncated a previously good output file — the old
   // write-after-success path never did.
-  if (format_ == ReportFormat::kCsv) {
-    append_csv_row(buffer_, columns_);
-  } else {
-    buffer_ += "[\n";
-  }
+  write_header(buffer_);
 }
 
 ReportWriter::ReportWriter(std::string* sink, ReportFormat format,
                            std::vector<std::string> columns)
-    : columns_(std::move(columns)), format_(format), sink_(sink) {
-  P2P_ASSERT_MSG(!columns_.empty(), "a report needs at least one column");
+    : columns_(std::move(columns)),
+      renderer_(format, columns_),
+      sink_(sink) {
   P2P_ASSERT(sink_ != nullptr);
-  if (format_ == ReportFormat::kCsv) {
-    append_csv_row(*sink_, columns_);
+  write_header(*sink_);
+}
+
+void ReportWriter::write_header(std::string& out) const {
+  // The CSV header is the column names rendered as one text row.
+  if (format() == ReportFormat::kCsv) {
+    renderer_.render_text_row(columns_, out);
   } else {
-    *sink_ += "[\n";
+    out += "[\n";
   }
 }
 
@@ -272,15 +256,9 @@ void ReportWriter::write_row(const std::vector<std::string>& cells) {
   P2P_ASSERT_MSG(!finished_, "write_row after finish()");
   P2P_ASSERT_MSG(cells.size() == columns_.size(),
                  "row arity must match the column count");
-  std::string& out = sink_ != nullptr ? *sink_ : buffer_;
-  if (format_ == ReportFormat::kCsv) {
-    append_csv_row(out, cells);
-  } else {
-    if (rows_ > 0) out += "},\n";
-    append_json_row_open(out, columns_, cells);
-  }
-  ++rows_;
-  if (sink_ == nullptr && buffer_.size() >= kFlushBytes) flush_to_file();
+  row_arena_.clear();
+  renderer_.render_text_row(cells, row_arena_);
+  write_rendered(row_arena_, 1);
 }
 
 void ReportWriter::write_rendered(std::string_view bytes,
@@ -294,7 +272,7 @@ void ReportWriter::write_rendered(std::string_view bytes,
   // The arena's first row carries no separator (the renderer cannot know
   // whether the writer already holds an open row); rows within the arena
   // already carry theirs.
-  if (format_ == ReportFormat::kJson && rows_ > 0) out += "},\n";
+  if (format() == ReportFormat::kJson && rows_ > 0) out += "},\n";
   out.append(bytes);
   rows_ += row_count;
   if (sink_ == nullptr && buffer_.size() >= kFlushBytes) flush_to_file();
@@ -304,7 +282,7 @@ void ReportWriter::finish() {
   P2P_ASSERT_MSG(!finished_, "finish() called twice");
   finished_ = true;
   std::string& out = sink_ != nullptr ? *sink_ : buffer_;
-  if (format_ == ReportFormat::kJson) {
+  if (format() == ReportFormat::kJson) {
     if (rows_ > 0) out += "}\n";
     out += "]\n";
   }
@@ -325,7 +303,7 @@ void ReportWriter::finish() {
     // fclose flushes the stdio buffer, so a full disk can surface there;
     // a truncated report must not exit 0.
     P2P_ASSERT_MSG(std::fclose(file_) == 0,
-                   "short write to report output file");
+                   "short write to report output file \"" + path_ + "\"");
   } else {
     P2P_ASSERT_MSG(std::fflush(file_) == 0, "short write to stdout");
   }
@@ -383,7 +361,7 @@ void ReportWriter::write_file_bytes(const std::string& bytes) {
   const std::size_t written =
       std::fwrite(bytes.data(), 1, bytes.size(), file_);
   P2P_ASSERT_MSG(written == bytes.size(),
-                 "short write to report output file");
+                 "short write to report output file \"" + path_ + "\"");
 }
 
 Table::Table(std::vector<std::string> columns)
@@ -423,13 +401,14 @@ void write_text(const std::string& path, const std::string& text) {
     return;
   }
   FILE* file = std::fopen(path.c_str(), "wb");
-  P2P_ASSERT_MSG(file != nullptr, "cannot open report output file");
+  P2P_ASSERT_MSG(file != nullptr,
+                 "cannot open report output file \"" + path + "\"");
   const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
   // fclose flushes the stdio buffer, so a full disk can surface there;
   // a truncated report must not exit 0.
   const bool closed = std::fclose(file) == 0;
   P2P_ASSERT_MSG(written == text.size() && closed,
-                 "short write to report output file");
+                 "short write to report output file \"" + path + "\"");
 }
 
 }  // namespace p2p::engine

@@ -7,20 +7,20 @@
 // spelled out) so CSV diffs are stable across runs and every emitted
 // decimal parses back to the exact bit pattern.
 //
-// Three emit paths share one serializer:
+// One serializer, RowRenderer, turns a row of cells into bytes; every
+// emit path renders through it:
 //
-//   * Table        — in-memory rows, rendered whole by to_csv/to_json;
+//   * RowRenderer  — renders one row into a caller-supplied arena, so
+//                    worker threads format rows concurrently and the
+//                    writer just concatenates them (write_rendered).
 //   * ReportWriter — streaming: header up front, rows appended as they
-//                    become final, closer written by finish(). Emitted
-//                    bytes are identical to Table's for the same rows
-//                    (Table's renderers are implemented ON ReportWriter),
-//                    but peak memory is one I/O buffer, not the table —
-//                    the emitter million-cell sweeps stream through.
-//   * RowRenderer  — parallel producers: renders one row into a
-//                    caller-supplied arena, byte-identical to what
-//                    write_row would have appended, so worker threads
-//                    can format rows concurrently and the writer just
-//                    concatenates them (write_rendered).
+//                    become final, closer written by finish(). It owns
+//                    the RowRenderer of its columns (renderer()); its
+//                    write_row and CSV header render through it. Peak
+//                    memory is one I/O buffer, not the table — the
+//                    emitter million-cell sweeps stream through.
+//   * Table        — in-memory rows, rendered whole by to_csv/to_json
+//                    through a ReportWriter.
 //
 // A file-backed ReportWriter double-buffers its output: full buffers are
 // handed to a background flusher thread, so the producing thread overlaps
@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -55,11 +56,12 @@ void append_json_string(std::string& out, std::string_view s);
 enum class ReportFormat { kCsv, kJson };
 
 /// Renders rows of a fixed column schema into caller-supplied string
-/// arenas, producing exactly the bytes ReportWriter::write_row appends
-/// for the same cells. This is what lets sweep workers format rows in
-/// parallel: each worker renders into its own arena, and the writer
-/// concatenates the finished spans (ReportWriter::write_rendered)
-/// instead of formatting on the consuming thread.
+/// arenas — the only code that turns cells into report bytes
+/// (ReportWriter::write_row renders through it too). This is what lets
+/// sweep workers format rows in parallel: each worker renders into its
+/// own arena, and the writer concatenates the finished spans
+/// (ReportWriter::write_rendered) instead of formatting on the consuming
+/// thread.
 ///
 /// The per-column prefixes ("," / ", \"name\": ") are rendered once at
 /// construction; rendering a row costs no allocation beyond arena
@@ -73,13 +75,18 @@ class RowRenderer {
   std::size_t num_columns() const { return prefixes_.size(); }
   ReportFormat format() const { return format_; }
 
+  /// Renders `cells` as one row through Row::text: the generic row every
+  /// report path without a cached-token plan takes (ReportWriter::
+  /// write_row, frontier rows, non-closed-form grid rows).
+  void render_text_row(std::span<const std::string> cells,
+                       std::string& arena) const;
+
   /// One row being rendered into an arena. In JSON the row's "}"
-  /// terminator is withheld exactly like write_row does (the writer
-  /// emits "},\n" or "}\n" when it learns whether a successor exists);
-  /// beginning a row in a non-empty arena emits the "},\n" separator
-  /// first — so an arena holding N rows carries N-1 separators and no
-  /// trailing terminator, which is precisely the byte layout
-  /// write_rendered expects.
+  /// terminator is withheld (the writer emits "},\n" or "}\n" when it
+  /// learns whether a successor exists); beginning a row in a non-empty
+  /// arena emits the "},\n" separator first — so an arena holding N rows
+  /// carries N-1 separators and no trailing terminator, which is
+  /// precisely the byte layout write_rendered expects.
   class Row {
    public:
     /// Begins a row appended to `arena`. The arena must contain only
@@ -87,7 +94,7 @@ class RowRenderer {
     Row(const RowRenderer& renderer, std::string& arena);
 
     /// Appends format_number(value) as the next cell (JSON renders
-    /// non-finite values as null, like write_row).
+    /// non-finite values as null, like text() of the same bytes).
     void number(double value);
     /// Appends a cell that already carries format_number's bytes — the
     /// memcpy fast path for cached axis-value tokens. JSON maps the
@@ -95,14 +102,14 @@ class RowRenderer {
     /// so the cell MUST have come from format_number.
     void preformatted_number(std::string_view cell);
     /// Appends a general text cell: CSV quoting and the JSON
-    /// number-vs-null-vs-string trichotomy, byte-identical to write_row.
+    /// number-vs-null-vs-string trichotomy.
     void text(std::string_view cell);
     /// Appends `count` cells previously rendered by this renderer at
     /// the same column positions (prefixes included) — the cached
     /// constant-suffix fast path. The bytes are trusted verbatim.
     void cells_verbatim(std::string_view bytes, std::size_t count);
     /// Ends the row; aborts unless exactly num_columns() cells were
-    /// emitted (the arity check write_row does on its cell vector).
+    /// emitted.
     void end();
 
    private:
@@ -145,17 +152,19 @@ class ReportWriter {
   ~ReportWriter();
 
   const std::vector<std::string>& columns() const { return columns_; }
-  ReportFormat format() const { return format_; }
+  ReportFormat format() const { return renderer_.format(); }
+  /// The renderer over this writer's format and columns: the one worker
+  /// threads render into arenas for write_rendered.
+  const RowRenderer& renderer() const { return renderer_; }
   std::size_t rows_written() const { return rows_; }
 
   /// Appends a row; must have exactly columns().size() cells.
   void write_row(const std::vector<std::string>& cells);
 
-  /// Appends `row_count` rows rendered into `bytes` by a RowRenderer
-  /// built over this writer's format and columns — the concatenate-only
-  /// fast path of the worker-rendered pipeline. The bytes are appended
-  /// verbatim (after the JSON row separator, when due), so the result
-  /// is byte-identical to write_row of the same cells.
+  /// Appends `row_count` rows rendered into `bytes` by renderer() (or a
+  /// copy of it) — the concatenate-only path of the worker-rendered
+  /// pipeline. The bytes are appended verbatim (after the JSON row
+  /// separator, when due).
   void write_rendered(std::string_view bytes, std::size_t row_count);
 
   /// Writes the JSON closer, flushes (joining the background flusher if
@@ -165,13 +174,19 @@ class ReportWriter {
   void finish();
 
  private:
+  /// Appends the header: the column-name row in CSV, "[" in JSON.
+  void write_header(std::string& out) const;
   void flush_to_file();
   void flusher_loop();
   /// Opens the file lazily and writes `bytes`; aborts on a short write.
   void write_file_bytes(const std::string& bytes);
 
   std::vector<std::string> columns_;
-  ReportFormat format_;
+  RowRenderer renderer_;
+  /// write_row's reusable one-row arena: a JSON row rendered into an
+  /// empty arena carries no separator, so write_row hands it to
+  /// write_rendered like any worker-rendered span.
+  std::string row_arena_;
   std::string* sink_ = nullptr;
   std::string path_;
   std::FILE* file_ = nullptr;
@@ -228,7 +243,8 @@ class Table {
 };
 
 /// Writes `text` to `path`, or to stdout when path is "-" or empty.
-/// Aborts with a message when the file cannot be opened.
+/// Aborts with a message naming the path when the file cannot be opened
+/// or the write comes up short.
 void write_text(const std::string& path, const std::string& text);
 
 }  // namespace p2p::engine

@@ -47,9 +47,18 @@ double parse_value(const std::string& token, const std::string& spec) {
 class CellCursor {
  public:
   explicit CellCursor(const SweepGrid& grid)
-      : grid_(&grid),
-        digits_(grid.axes.size(), 0),
-        values_(grid.axes.size(), 0) {}
+      : grid_(&grid) {
+    // The calling thread is a pool worker too, and its cursor is written
+    // every cell. Allocated at their exact 72 bytes, these vectors can
+    // land beside the render plan's small heap blocks that every worker
+    // reads per row; that cost the 4-thread 1e6-cell theory sweep 7-11%
+    // more user CPU on a 4-core x86 box (none on one thread). A 512-byte
+    // capacity comes from a different allocator size class.
+    digits_.reserve(kCapacity);
+    values_.reserve(kCapacity);
+    digits_.resize(grid.axes.size(), 0);
+    values_.resize(grid.axes.size(), 0);
+  }
 
   void seek(std::size_t cell) {
     std::size_t rem = cell;
@@ -79,19 +88,32 @@ class CellCursor {
   const std::vector<double>& values() const { return values_; }
 
  private:
+  static constexpr std::size_t kCapacity = 64;
+
   const SweepGrid* grid_;
   std::vector<std::size_t> digits_;
   std::vector<double> values_;
 };
 
-/// Everything a worker needs to render one grid row without touching
-/// shared mutable state: the columns' RowRenderer, the axis slot map,
-/// every axis value pre-rendered to its format_number token, and — for
-/// theory-only sweeps without a CTMC column — the constant 8-cell sim
-/// tail every row shares, cached once as raw bytes.
+/// True when every grid row has the same fixed layout: a closed-form row
+/// (theory_only, no scenario, no fluid_verdict column, no CTMC solve), so
+/// the per-type block and every optional trailing column are absent and
+/// the eight sim cells are the same constants in every row. This is the
+/// row million-cell phase-diagram sweeps emit, and the only one cheap
+/// enough to compute that formatting it cell by cell would dominate the
+/// run; only it gets a GridRenderPlan. Every other grid row renders as
+/// sweep_row through RowRenderer::render_text_row.
+bool fixed_row_layout(const SweepOptions& options) {
+  return options.theory_only && options.scenario.empty() && !options.fluid &&
+         options.ctmc_max_peers <= 0;
+}
+
+/// Everything a worker needs to render one fixed-layout grid row without
+/// touching shared mutable state: the columns' RowRenderer, every axis
+/// value pre-rendered to its format_number token, and the constant
+/// 8-cell sim tail every row shares, cached once as raw bytes.
 struct GridRenderPlan {
   RowRenderer renderer;
-  AxisSlots slots;
   /// axis_tokens[axis][digit] = format_number of that grid value. k and
   /// flash are rounded to their integer first: sweep_row formats the
   /// *rounded* c.k / c.flash, and a raw axis value may sit anywhere
@@ -115,40 +137,15 @@ struct GridRenderPlan {
   /// (so -1, the gamma <= mu branch, is slot 0).
   std::string verdict_tokens[3];
   std::vector<std::string> critical_tokens;
-  /// Full trailing sim_backend cells (absent under theory_only), indexed
-  /// by backend_token_slot of the cell's resolved backend.
-  std::string backend_tokens[2];
+  /// replicas = 0 and seven NaNs: the sim and CTMC cells of a closed-form
+  /// row.
   std::string const_tail;
-  std::size_t const_tail_cells = 0;
-  /// Full policy cell (present only when simulating off the RandomUseful
-  /// baseline): the policy is sweep-constant, so one cached cell serves
-  /// every row.
-  std::string policy_token;
-  /// Full trailing fluid_verdict cells (present only under
-  /// SweepOptions::fluid), indexed by the Stability enum value.
-  std::string fluid_tokens[3];
 };
-
-/// backend_tokens index of a resolved backend.
-std::size_t backend_token_slot(SimBackend resolved) {
-  return resolved == SimBackend::kTypeCount ? 1 : 0;
-}
 
 GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
                                      const AxisSlots& slots,
-                                     const SweepOptions& options,
-                                     const ReportWriter& writer) {
-  GridRenderPlan plan{RowRenderer(writer.format(), writer.columns()),
-                      slots,
-                      {},
-                      {},
-                      {},
-                      {},
-                      {},
-                      {},
-                      0,
-                      {},
-                      {}};
+                                     const RowRenderer& renderer) {
+  GridRenderPlan plan{renderer, {}, {}, {}, {}, {}};
   plan.axis_tokens.resize(effective.axes.size());
   int max_k = 1;
   for (std::size_t i = 0; i < effective.axes.size(); ++i) {
@@ -169,9 +166,7 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
   // candidate value through the real Row path at its real column
   // position (so the cached bytes can never drift from what text() /
   // number() would emit): the verdict strings, every critical_piece the
-  // grid's K values allow, and — in a theory-only sweep with the CTMC
-  // column disabled — the constant 8-cell sim tail (replicas = 0 and
-  // seven NaNs) every row shares.
+  // grid's K values allow, and the constant sim tail.
   const std::size_t num_columns = plan.renderer.num_columns();
   const auto cache_cells = [&](std::size_t column, std::size_t count,
                                const auto& emit) {
@@ -185,12 +180,7 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
     row.end();
     return bytes;
   };
-  // Front-counted: index column + nine axes + the optional per-type
-  // block put "verdict" here (the tail is no longer a fixed distance
-  // from the end — the sim_backend column exists only when simulating).
-  const std::size_t verdict_column =
-      sweep_schema_head().size() +
-      (options.scenario.empty() ? 0 : 1 + options.scenario.mix.size());
+  const std::size_t verdict_column = sweep_schema_head().size();
   for (const Stability v : {Stability::kPositiveRecurrent,
                             Stability::kTransient, Stability::kBorderline}) {
     plan.verdict_tokens[static_cast<int>(v)] = cache_cells(
@@ -202,45 +192,11 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
         cache_cells(verdict_column + 2, 1,
                     [&](RowRenderer::Row& row) { row.number(piece); }));
   }
-  // The optional policy and fluid_verdict columns trail sim_backend, so
-  // every end-anchored column position below backs off by however many
-  // of them this sweep emits.
-  const std::size_t fluid_cells = options.fluid ? 1 : 0;
-  const bool with_policy =
-      !options.theory_only &&
-      options.scenario.policy != PolicyKind::kRandomUseful;
-  const std::size_t policy_cells = with_policy ? 1 : 0;
-  if (!options.theory_only) {
-    for (const SimBackend b : {SimBackend::kPerPeer, SimBackend::kTypeCount}) {
-      plan.backend_tokens[backend_token_slot(b)] = cache_cells(
-          num_columns - 1 - policy_cells - fluid_cells, 1,
-          [&](RowRenderer::Row& row) { row.text(to_string(b)); });
-    }
-  }
-  if (with_policy) {
-    plan.policy_token =
-        cache_cells(num_columns - 1 - fluid_cells, 1,
-                    [&](RowRenderer::Row& row) {
-                      row.text(to_string(options.scenario.policy));
-                    });
-  }
-  if (options.fluid) {
-    for (const Stability v : {Stability::kPositiveRecurrent,
-                              Stability::kTransient,
-                              Stability::kBorderline}) {
-      plan.fluid_tokens[static_cast<int>(v)] = cache_cells(
-          num_columns - 1, 1,
-          [&](RowRenderer::Row& row) { row.text(to_string(v)); });
-    }
-  }
-  if (options.theory_only && options.ctmc_max_peers <= 0) {
-    plan.const_tail = cache_cells(
-        num_columns - 8 - fluid_cells, 8, [&](RowRenderer::Row& row) {
-          row.number(0);  // replicas
-          for (int c = 0; c < 7; ++c) row.number(std::nan(""));
-        });
-    plan.const_tail_cells = 8;
-  }
+  plan.const_tail =
+      cache_cells(num_columns - 8, 8, [&](RowRenderer::Row& row) {
+        row.number(0);  // replicas
+        for (int c = 0; c < 7; ++c) row.number(std::nan(""));
+      });
   // Collapse maximal runs of single-valued axis columns (columns 1..9,
   // after the index) into one pre-rendered span each; varying axes stay
   // per-digit token lookups.
@@ -269,12 +225,11 @@ GridRenderPlan make_grid_render_plan(const SweepGrid& effective,
   return plan;
 }
 
-/// Renders one finished cell into `arena` — the worker-side twin of
-/// sweep_row + write_row. MIRRORS sweep_row CELL FOR CELL: any column
-/// added or reordered there must land here too, or the worker-rendered
-/// bytes drift from the Table emitters (the byte-identity suite in
+/// Renders one fixed-layout (fixed_row_layout) grid row into `arena`:
+/// the cached-span form of sweep_row + render_text_row for that one
+/// layout, byte for byte (the stream-vs-table suite in
 /// tests/test_sweep_stream.cpp is the tripwire).
-void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
+void render_grid_row(const GridRenderPlan& plan,
                      const std::vector<std::size_t>& digits,
                      const CellResult& c, std::string& arena) {
   RowRenderer::Row row(plan.renderer, arena);
@@ -304,12 +259,6 @@ void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
       row.preformatted_number(plan.axis_tokens[seg.axis][digits[seg.axis]]);
     }
   }
-  if (!options.scenario.empty()) {
-    row.number((1.0 - c.mix) * c.lambda);
-    for (const auto& a : options.scenario.mix) {
-      row.number(c.mix * c.lambda * a.rate);
-    }
-  }
   row.cells_verbatim(plan.verdict_tokens[static_cast<int>(c.theory.verdict)],
                      1);
   row.number(c.theory.margin);
@@ -317,28 +266,7 @@ void render_grid_row(const GridRenderPlan& plan, const SweepOptions& options,
       plan.critical_tokens[static_cast<std::size_t>(c.theory.critical_piece +
                                                     1)],
       1);
-  if (plan.const_tail_cells > 0) {
-    row.cells_verbatim(plan.const_tail, plan.const_tail_cells);
-  } else {
-    row.number(c.sim.replicas);
-    row.number(c.sim.final_peers_mean);
-    row.number(c.sim.mean_peers_mean);
-    row.number(c.sim.mean_sojourn);
-    row.number(c.sim.mean_peers_sem);
-    row.number(c.sim.mean_peers_lo);
-    row.number(c.sim.mean_peers_hi);
-    row.number(c.ctmc_mean_peers);
-    if (!options.theory_only) {
-      row.cells_verbatim(plan.backend_tokens[backend_token_slot(c.backend)],
-                         1);
-    }
-  }
-  if (!plan.policy_token.empty()) {
-    row.cells_verbatim(plan.policy_token, 1);
-  }
-  if (options.fluid) {
-    row.cells_verbatim(plan.fluid_tokens[static_cast<int>(c.fluid)], 1);
-  }
+  row.cells_verbatim(plan.const_tail, 8);
   row.end();
 }
 
@@ -610,7 +538,9 @@ struct GridUnit {
   const SweepGrid& effective;
   const SweepOptions& options;
   AxisSlots slots;
-  std::optional<GridRenderPlan> plan;  // empty without a writer
+  const RowRenderer* renderer;  // null without a writer
+  /// Set only with a writer and a fixed_row_layout sweep.
+  std::optional<GridRenderPlan> plan;
 
   struct Block {
     const GridUnit& unit;
@@ -628,7 +558,11 @@ struct GridUnit {
       return {p, !unit.options.theory_only};
     }
     void render(const CellResult& c, std::string& arena) const {
-      render_grid_row(*unit.plan, unit.options, cursor.digits(), c, arena);
+      if (unit.plan) {
+        render_grid_row(*unit.plan, cursor.digits(), c, arena);
+      } else {
+        unit.renderer->render_text_row(sweep_row(c, unit.options), arena);
+      }
     }
     void advance() { cursor.advance(); }
   };
@@ -650,10 +584,11 @@ SweepSummary sweep_grid(const SweepGrid& grid, const SweepOptions& options,
   // theory sweep 6-7% more CPU time on a 4-core x86 box (alternating
   // runs against a heap-held unit), so the unit lives on the heap.
   const auto unit = std::make_unique<GridUnit>(
-      GridUnit{effective, options, resolve_axis_slots(effective), {}});
-  if (writer != nullptr) {
+      GridUnit{effective, options, resolve_axis_slots(effective),
+               writer != nullptr ? &writer->renderer() : nullptr, {}});
+  if (writer != nullptr && fixed_row_layout(options)) {
     unit->plan.emplace(
-        make_grid_render_plan(effective, unit->slots, options, *writer));
+        make_grid_render_plan(effective, unit->slots, writer->renderer()));
   }
   // Theory-only sweeps run one closed-form item per cell: fanning unused
   // replica slots would just multiply claim traffic.
@@ -1097,19 +1032,6 @@ FrontierPoint bisect_row(const SweepGrid& rows, const AxisSlots& slots,
   return pt;
 }
 
-/// Renders one localized frontier point into `arena` on the worker that
-/// finished it. frontier_row is the only frontier serialiser; its cells
-/// go through Row::text, which emits exactly what write_row would.
-void render_frontier_row(const RowRenderer& renderer,
-                         const FrontierPoint& pt, const RefineOptions& refine,
-                         const SweepOptions& options, std::string& arena) {
-  RowRenderer::Row row(renderer, arena);
-  for (const std::string& cell : frontier_row(pt, refine, options)) {
-    row.text(cell);
-  }
-  row.end();
-}
-
 /// Frontier rows as driver units. A block re-runs the closed-form
 /// bisection once per row it touches instead of publishing it across
 /// blocks: the bisection is a deterministic handful of classify() calls,
@@ -1142,8 +1064,8 @@ struct FrontierUnit {
       return opened;
     }
     void render(const FrontierPoint& pt, std::string& arena) const {
-      render_frontier_row(*unit.renderer, pt, unit.refine, unit.options,
-                          arena);
+      unit.renderer->render_text_row(
+          frontier_row(pt, unit.refine, unit.options), arena);
     }
     void advance() {}
   };
@@ -1188,16 +1110,13 @@ FrontierSummary sweep_frontier(
   SweepGrid probe = rows;
   probe.axes.push_back(Axis{refine.axis, {}});
   const AxisSlots slots = resolve_axis_slots(probe);
-  std::optional<RowRenderer> renderer;
-  if (writer != nullptr) {
-    renderer.emplace(writer->format(), writer->columns());
-  }
 
   FrontierSummary summary;
   summary.rows = rows.num_cells();
   summary.bracketed =
       run_ordered(FrontierUnit{rows, slots, *refined, refine, options,
-                               renderer ? &*renderer : nullptr},
+                               writer != nullptr ? &writer->renderer()
+                                                 : nullptr},
                   summary.rows, static_cast<std::size_t>(options.replicas),
                   options, sink, writer)[1];
   return summary;

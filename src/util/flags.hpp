@@ -98,12 +98,23 @@ class Flags {
     return token != nullptr ? *token : fallback;
   }
 
+  /// Boolean flag: bare (--name), or one of true/yes/1 and false/no/0.
+  /// Any other token is an error echoing it — "--fluid=no" must not run
+  /// with the fluid column, nor "--fluid foo" swallow a stray argument.
   bool get_bool(const std::string& name, bool fallback,
                 const std::string& help) {
     const std::string* token = take(name, fallback ? "true" : "false", help);
     if (token == nullptr) return fallback;
-    return *token != "false" && *token != "0";
+    if (*token == "true" || *token == "yes" || *token == "1") return true;
+    if (*token == "false" || *token == "no" || *token == "0") return false;
+    fail("flag --" + name +
+         " expects a boolean (true/false/yes/no/1/0), got '" + *token + "'");
   }
+
+  /// Whether `name` appeared on the command line at all, whatever its
+  /// value — for checks that must reject a flag even when it was given
+  /// its default. Does not consume the flag.
+  bool given(const std::string& name) const { return values_.count(name) > 0; }
 
   /// Call after all getters: aborts with usage on unknown flags or --help.
   void finish() {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace p2p {
@@ -48,6 +49,39 @@ TEST(Flags, BooleanFalseSpellings) {
   EXPECT_FALSE(f.get_bool("a", true, ""));
   EXPECT_FALSE(f.get_bool("b", true, ""));
   EXPECT_TRUE(f.get_bool("c", false, ""));
+  f.finish();
+}
+
+TEST(Flags, BooleanYesNoSpellings) {
+  Flags f = make({"--a=no", "--b", "yes", "--c=true", "--d", "1"});
+  EXPECT_FALSE(f.get_bool("a", true, ""));
+  EXPECT_TRUE(f.get_bool("b", false, ""));
+  EXPECT_TRUE(f.get_bool("c", false, ""));
+  EXPECT_TRUE(f.get_bool("d", false, ""));
+  f.finish();
+}
+
+TEST(FlagsDeath, UnknownBooleanTokenAbortsEchoingIt) {
+  // "--fluid foo" must not silently take "foo" as a true value.
+  for (const char* token : {"foo", "off", "TRUE", "2", ""}) {
+    EXPECT_EXIT(
+        {
+          Flags f = make({"--fluid", token});
+          f.get_bool("fluid", false, "");
+        },
+        ::testing::ExitedWithCode(2),
+        "flag --fluid expects a boolean .*got '" + std::string(token) + "'")
+        << token;
+  }
+}
+
+TEST(Flags, GivenReportsPresenceWhateverTheValue) {
+  Flags f = make({"--rounds", "4"});
+  EXPECT_TRUE(f.given("rounds"));
+  EXPECT_FALSE(f.given("other"));
+  // A flag given its default value is still given.
+  EXPECT_EQ(f.get_int("rounds", 4, ""), 4);
+  EXPECT_TRUE(f.given("rounds"));
   f.finish();
 }
 

@@ -290,7 +290,15 @@ TEST(ReportWriterDeath, UnopenablePathAbortsAtFirstFlush) {
                             ReportFormat::kCsv, {"a"});
         writer.finish();
       },
-      "cannot open");
+      "cannot open report output file \"/nonexistent-dir/report\\.csv\"");
+}
+
+TEST(WriteTextDeath, UnopenablePathIsNamedInTheAbort) {
+  // The adaptive --summary digest goes through write_text: an abort that
+  // does not name the path leaves the user guessing which output failed.
+  EXPECT_DEATH(write_text("/nonexistent-dir/summary.json", "{}\n"),
+               "cannot open report output file "
+               "\"/nonexistent-dir/summary\\.json\"");
 }
 
 TEST(ReportWriter, AbortingProducerLeavesExistingFileUntouched) {
@@ -323,9 +331,9 @@ TEST(ReportWriter, AbortingProducerLeavesExistingFileUntouched) {
 // its bytes must equal what write_row would have produced cell for
 // cell — in both formats, for every cell kind.
 
-/// Renders `rows` into one arena (numbers through number(), everything
-/// else through text()), hands the arena to write_rendered, and asserts
-/// the writer output equals the same rows pushed through write_row.
+/// Renders `rows` into one arena through render_text_row, hands the
+/// arena to write_rendered, and asserts the writer output equals the
+/// same rows pushed through write_row one at a time.
 void render_and_check(const std::vector<std::string>& columns,
                       const std::vector<std::vector<std::string>>& rows,
                       ReportFormat format) {
@@ -336,11 +344,7 @@ void render_and_check(const std::vector<std::string>& columns,
 
   RowRenderer renderer(format, columns);
   std::string arena;
-  for (const auto& cells : rows) {
-    RowRenderer::Row row(renderer, arena);
-    for (const std::string& cell : cells) row.text(cell);
-    row.end();
-  }
+  for (const auto& cells : rows) renderer.render_text_row(cells, arena);
   std::string via_arena;
   ReportWriter arena_writer(&via_arena, format, columns);
   arena_writer.write_rendered(arena, rows.size());

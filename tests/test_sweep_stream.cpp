@@ -30,34 +30,6 @@ std::string stream_json(const SweepGrid& grid, const SweepOptions& options) {
   return out;
 }
 
-TEST(RunSweepStream, MatchesInMemoryTableOnTheGoldenGrid) {
-  // The golden-schema grid from test_sweep_golden: replicas, CTMC
-  // column, NaN uncertainty cells — everything the row formatter can
-  // emit on the homogeneous slice.
-  const SweepGrid grid =
-      parse_grid("lambda=0.5:3.0:3;us=0.7,1.3;k=2;gamma=1.25");
-  SweepOptions options;
-  options.horizon = 40;
-  options.replicas = 3;
-  options.ctmc_max_peers = 10;
-  const Table table = run_sweep(grid, options).to_table();
-  EXPECT_EQ(stream_csv(grid, options), table.to_csv());
-  EXPECT_EQ(stream_json(grid, options), table.to_json());
-}
-
-TEST(RunSweepStream, MatchesInMemoryTableWithAScenario) {
-  // Per-type arrival-rate columns exercise the scenario-dependent part
-  // of the schema.
-  SweepGrid grid = parse_grid("lambda=1,2;us=1;gamma=inf;k=4;mix=0,0.5,1");
-  SweepOptions options;
-  options.horizon = 20;
-  options.replicas = 2;
-  options.scenario = parse_scenario("example2:3,1");
-  const Table table = run_sweep(grid, options).to_table();
-  EXPECT_EQ(stream_csv(grid, options), table.to_csv());
-  EXPECT_EQ(stream_json(grid, options), table.to_json());
-}
-
 TEST(RunSweepStream, DeterminismMatrixOverThreadsAndChunks) {
   // The satellite acceptance matrix: same grid swept at threads
   // {1, 2, 4, 8} x chunk {1, 7, auto} must produce byte-identical CSV
@@ -112,6 +84,76 @@ TEST(RunSweepStream, TheoryOnlyDeterminismMatrixMatchesTheTable) {
           << "threads " << threads << " chunk " << chunk;
       EXPECT_EQ(stream_json(grid, options), table.to_json())
           << "threads " << threads << " chunk " << chunk;
+    }
+  }
+}
+
+TEST(RunSweepStream, EveryRowShapeMatchesTheTableAtAnySchedule) {
+  // One case per grid row shape. Only the plain theory-only row renders
+  // through the cached-span plan; every other shape renders sweep_row
+  // through RowRenderer::render_text_row on the workers. Both must emit
+  // the Table bytes in both formats at every schedule, with one replica
+  // (the chunk-batched path) and with several (the per-unit slot path).
+  struct Shape {
+    const char* name;
+    const char* grid;
+    SweepOptions options;
+  };
+  std::vector<Shape> shapes;
+  const auto add = [&](const char* name, const char* grid, auto&& tweak) {
+    Shape shape{name, grid, {}};
+    shape.options.horizon = 20;
+    shape.options.replicas = 2;
+    tweak(shape.options);
+    shapes.push_back(shape);
+  };
+  add("theory-only", "lambda=0.5:3.0:6;us=0.5,1.5;k=2",
+      [](SweepOptions& o) { o.theory_only = true; });
+  add("theory-only + scenario", "lambda=1:3:4;us=1;gamma=inf;k=4;mix=0,0.5,1",
+      [](SweepOptions& o) {
+        o.theory_only = true;
+        o.scenario = parse_scenario("example2:3,1");
+      });
+  add("theory-only + fluid", "lambda=0.5:3.0:6;us=0.3,0.9;k=2",
+      [](SweepOptions& o) {
+        o.theory_only = true;
+        o.fluid = true;
+      });
+  add("theory-only + ctmc", "lambda=0.5:2.5:3;us=0.7,1.3;gamma=1.25,inf;k=1",
+      [](SweepOptions& o) {
+        o.theory_only = true;
+        o.ctmc_max_peers = 20;
+      });
+  add("sim + rarest + fluid", "lambda=0.75:4.75:4;us=0.3,0.9;k=2",
+      [](SweepOptions& o) {
+        o.scenario.policy = PolicyKind::kRarestFirst;
+        o.fluid = true;
+      });
+  add("sim + forced perpeer", "lambda=0.5:3.0:4;us=0.5,1.5;k=2",
+      [](SweepOptions& o) { o.sim_backend = SimBackend::kPerPeer; });
+  // The golden-schema grid from test_sweep_golden: replicas, CTMC
+  // column, NaN uncertainty cells.
+  add("sim + ctmc", "lambda=0.5:3.0:3;us=0.7,1.3;k=2;gamma=1.25",
+      [](SweepOptions& o) {
+        o.horizon = 40;
+        o.replicas = 3;
+        o.ctmc_max_peers = 10;
+      });
+  add("sim + scenario", "lambda=1,2;us=1;gamma=inf;k=4;mix=0,0.5,1",
+      [](SweepOptions& o) { o.scenario = parse_scenario("example2:3,1"); });
+  for (const Shape& shape : shapes) {
+    const SweepGrid grid = parse_grid(shape.grid);
+    const Table table = run_sweep(grid, shape.options).to_table();
+    for (const int threads : {1, 4}) {
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
+        SweepOptions options = shape.options;
+        options.threads = threads;
+        options.chunk = chunk;
+        EXPECT_EQ(stream_csv(grid, options), table.to_csv())
+            << shape.name << ": threads " << threads << " chunk " << chunk;
+        EXPECT_EQ(stream_json(grid, options), table.to_json())
+            << shape.name << ": threads " << threads << " chunk " << chunk;
+      }
     }
   }
 }

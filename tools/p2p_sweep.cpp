@@ -342,18 +342,18 @@ int main(int argc, char** argv) {
   if (adaptive_spec.empty()) {
     // The escalation/summary knobs only act in adaptive mode; silently
     // accepting them would look like they took effect.
-    if (std::isfinite(sim_threshold)) {
+    if (flags.given("sim-threshold")) {
       std::fprintf(stderr,
                    "error: --sim-threshold applies to --adaptive runs "
                    "only\n");
       return 2;
     }
-    if (sim_rounds != 4) {
+    if (flags.given("sim-rounds")) {
       std::fprintf(stderr,
                    "error: --sim-rounds applies to --adaptive runs only\n");
       return 2;
     }
-    if (!summary_out.empty()) {
+    if (flags.given("summary")) {
       std::fprintf(stderr,
                    "error: --summary applies to --adaptive runs only\n");
       return 2;
